@@ -13,7 +13,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NotASignature, NotKreinSelfadjoint
-from .linalg import as_complex, herm, hpd_sqrt, min_eig_herm, opnorm, scale_of
+from .linalg import (as_complex, crand, herm, hpd_sqrt, min_eig_herm, opnorm,
+                     scale_of)
 
 DEFAULT_TOL = 1e-10
 
@@ -127,6 +128,16 @@ def krein_adjoint(a, space):
     return space.j_ref @ a.conj().T @ space.j_ref
 
 
+def krein_sandwich(r, w, space):
+    """R^# W R for one operator or a stack of them, shape (..., dim, dim).
+
+    The quadratic form behind every objective in the package: with
+    R = BX - C it is F(X).
+    """
+    j = space.j_ref
+    return j @ np.swapaxes(r, -1, -2).conj() @ j @ w @ r
+
+
 def krein_gram(x, y, space):
     """Indefinite product [x, y] = <J_ref x, y>, linear in x."""
     x = space.check_vector(x)
@@ -164,7 +175,7 @@ def random_signature_operator(space, seed, strength=1.0):
     """
     rng = np.random.default_rng(seed)
     n = space.dim
-    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = crand(rng, n, n)
     k = 0.5 * (h - krein_adjoint(h, space))
     nk = opnorm(k)
     if nk > strength:

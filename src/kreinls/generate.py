@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import standard_space
 from .errors import InternalCertificateFailure, UnsatisfiableSpec
-from .linalg import herm, opnorm, orth_frame
+from .linalg import crand, herm, opnorm, orth_frame
 from .lsq import WeightedProblem
 from .schur import is_weakly_complementable
 from .subspaces import (Subspace, is_complementable, is_w_nonnegative,
@@ -53,20 +53,16 @@ class GeneratedInstance:
         return self.problem.space
 
 
-def _crand(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def _hermitian(rng, k, norm=1.0):
     if k == 0:
         return np.zeros((0, 0), dtype=complex)
-    m = herm(_crand(rng, k, k))
+    m = herm(crand(rng, k, k))
     n = opnorm(m)
     return m * (norm / n) if n > 0 else m
 
 
 def _unitary(rng, n):
-    q, r = np.linalg.qr(_crand(rng, n, n))
+    q, r = np.linalg.qr(crand(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
@@ -132,15 +128,15 @@ def generate_instance(gspec):
         a, a_eigs = _structured_a(rng, k, signs, gspec.cond_bound)
 
     if k < n:
-        b = 0.5 * _crand(rng, k, n - k)
+        b = 0.5 * crand(rng, k, n - k)
         if degenerate:
             b = a @ b                     # forces R(b) ⊆ R(a)
         if gspec.regime == "non_complementable":
             lam, vec = np.linalg.eigh(a)
             kernel_vec = vec[:, np.argmin(np.abs(lam))]
-            defect = _crand(rng, n - k)
+            defect = crand(rng, n - k)
             defect *= rng.uniform(0.5, 1.0) / np.linalg.norm(defect)
-            b = a @ _crand(rng, k, n - k) * 0.5 \
+            b = a @ crand(rng, k, n - k) * 0.5 \
                 + np.outer(kernel_vec, defect.conj())
         c = _hermitian(rng, n - k, norm=rng.uniform(0.3, 1.0))
     else:
@@ -150,7 +146,7 @@ def generate_instance(gspec):
     jw = herm(basis @ np.block([[a, b], [b.conj().T, c]]) @ basis.conj().T)
     w = space.j_ref @ jw
 
-    row = orth_frame(_crand(rng, n, k)).conj().T
+    row = orth_frame(crand(rng, n, k)).conj().T
     row = np.diag(rng.uniform(0.6, 1.0, size=k)) @ row
     bmat = u @ row                        # R(B) = span(u) exactly
 
@@ -158,7 +154,7 @@ def generate_instance(gspec):
     if gspec.regime == "non_complementable" or roll < 0.25:
         cmat = np.eye(n, dtype=complex)
     else:
-        cmat = _crand(rng, n, n)
+        cmat = crand(rng, n, n)
         cmat *= rng.uniform(0.3, 1.0) / opnorm(cmat)
 
     problem = WeightedProblem(w=w, b=bmat, c=cmat, space=space)

@@ -13,10 +13,9 @@ import numpy as np
 
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
-from .linalg import as_complex, g_orthonormalize, opnorm, scale_of
-from .lsq import (CertificateReport, _sample_directions, eval_f, eval_fj,
-                  solve_ims, solve_imms, split_b)
-from .schur import schur_complement
+from .linalg import as_complex, crand, g_orthonormalize, opnorm, scale_of
+from .lsq import (CertificateReport, _f, _sample_directions, _saddle_sides,
+                  eval_f, eval_fj, solve_ims, solve_imms, split_b)
 from .subspaces import is_complementable
 
 
@@ -75,8 +74,7 @@ def trace_j_basis_sum(t, j, space, seed=0):
     sig = as_signature(j, space)
     t = space.check_operator(t)
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((space.dim, space.dim)) \
-        + 1j * rng.standard_normal((space.dim, space.dim))
+    raw = crand(rng, space.dim, space.dim)
     basis = g_orthonormalize(raw, sig.gram)
     return complex(np.einsum("ia,ij,ja->", basis.conj(),
                              space.j_ref @ t, basis))
@@ -197,16 +195,17 @@ class TraceMinSolution:
     gradient_certificate: float
 
 
+def _traces(sig, stack):
+    """Real parts of tr_J over a stack of operators."""
+    return np.einsum("ab,nba->n", sig.entries, stack).real
+
+
 def _scalar_floor_certificate(p, j, x0, n_samples, seed, sense="min"):
     """Sampled f_J(X) >= f_J(X0) (or <=, for max) check."""
     sig = as_signature(j, p.space)
     base = trace_objective(p, sig, x0)
     xs = _sample_directions(p.space, x0, n_samples, seed)
-    jm = sig.entries
-    r = np.einsum("ij,njk->nik", p.b, xs) - p.c
-    jadj = p.space.j_ref
-    radj = jadj @ r.conj().transpose(0, 2, 1) @ jadj
-    vals = np.einsum("ab,nba->n", jm, radj @ (p.w @ r)).real
+    vals = _traces(sig, _f(p, xs))
     gaps = vals - base if sense == "min" else base - vals
     scales = np.maximum(1.0, np.abs(vals))
     floors = gaps / scales
@@ -227,8 +226,7 @@ def solve_trace_min(p, j, certificate_samples=64, seed=0, rank_tol=None):
     rng = np.random.default_rng(seed)
     grad = 0.0
     for _ in range(8):
-        y = rng.standard_normal((p.space.dim,) * 2) \
-            + 1j * rng.standard_normal((p.space.dim,) * 2)
+        y = crand(rng, p.space.dim, p.space.dim)
         grad = max(grad, abs(frechet_derivative(p, sig, ims.x0, y)))
     return TraceMinSolution(x0=ims.x0, value=value, ims=ims,
                             scalar_certificate=scalar,
@@ -253,20 +251,14 @@ def solve_trace_minmax(p, j, certificate_samples=64, seed=0, rank_tol=None):
     if not is_complementable(p.w, s, p.space, rank_tol):
         raise NotComplementable("weight is not complementable for R(B)")
     imms = solve_imms(p, rank_tol)
-    shorted = schur_complement(p.w, s, p.space, rank_tol=rank_tol).schur
-    value_matrix = krein_adjoint(p.c, p.space) @ shorted @ p.c
-    value = float(np.trace(sig.entries @ value_matrix).real)
+    value = float(np.trace(sig.entries @ imms.schur_value).real)
 
     split = split_b(p, sig, rank_tol)
     base = trace_objective_xy(p, split, sig, imms.z, imms.z)
-    xs = _sample_directions(p.space, imms.z, certificate_samples, seed)
-    ys = _sample_directions(p.space, imms.z, certificate_samples, seed + 1)
-    min_floor = min(
-        (trace_objective_xy(p, split, sig, x, imms.z) - base)
-        / max(1.0, abs(base)) for x in xs)
-    max_floor = min(
-        (base - trace_objective_xy(p, split, sig, imms.z, y))
-        / max(1.0, abs(base)) for y in ys)
+    scale = max(1.0, abs(base))
+    sides = _saddle_sides(p, split, imms.z, certificate_samples, seed)
+    min_floor = ((_traces(sig, next(sides)) - base) / scale).min()
+    max_floor = ((base - _traces(sig, next(sides))) / scale).min()
     return TraceMinMaxSolution(z=imms.z, value=value, imms=imms,
                                saddle_min_floor=float(min_floor),
                                saddle_max_floor=float(max_floor))

@@ -17,6 +17,11 @@ def as_complex(a):
     return np.asarray(a, dtype=complex)
 
 
+def crand(rng, *shape):
+    """Complex Gaussian sample: real parts drawn first, then imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def herm(a):
     """Hermitian part (A + A*)/2."""
     return 0.5 * (a + a.conj().T)
@@ -93,17 +98,6 @@ def pinv(a, rank_tol=None, context=0.0):
     inv = np.zeros_like(s)
     inv[:r] = 1.0 / s[:r]
     return (vh.conj().T * inv) @ u.conj().T
-
-
-def herm_eig_split(a, zero_tol):
-    """Eigendecomposition of a Hermitian matrix into (values, vectors),
-    values treated as exactly zero when ``|lam| <= zero_tol``."""
-    a = as_complex(a)
-    if a.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-    w, q = np.linalg.eigh(herm(a))
-    w = np.where(np.abs(w) <= zero_tol, 0.0, w)
-    return w, q
 
 
 def herm_sign_and_root(a, rank_tol=None, context=0.0):

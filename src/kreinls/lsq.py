@@ -11,12 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (SignatureOperator, krein_adjoint,
+from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
                    require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, MinMaxUnsolvable,
                      NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive)
-from .linalg import herm, opnorm, orth_frame, pinv, scale_of
+from .linalg import crand, herm, numerical_rank, opnorm, pinv, scale_of
 from .schur import schur_complement
 from .subspaces import (WSplit, is_complementable, is_w_nonnegative,
                         is_w_nonpositive, range_subspace,
@@ -42,11 +42,14 @@ class WeightedProblem:
         return range_subspace(self.b, rank_tol)
 
 
+def _f(p, x):
+    """F(X) for an operator or a stack of them."""
+    return krein_sandwich(p.b @ x - p.c, p.w, p.space)
+
+
 def eval_f(p, x):
     """F(X) = (BX - C)^# W (BX - C); always [.,.]-selfadjoint."""
-    x = p.space.check_operator(x)
-    r = p.b @ x - p.c
-    return krein_adjoint(r, p.space) @ p.w @ r
+    return _f(p, p.space.check_operator(x))
 
 
 def normal_matrices(p):
@@ -60,12 +63,41 @@ def _normal_context(p):
     return opnorm(p.b) ** 2 * opnorm(p.w)
 
 
+def _normal_solve(p, target, rank_tol):
+    """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
+
+    Returns (violation, x, resid, sc): the part of N = B^#W target
+    outside R(M) (the Douglas range test), the minimal-norm solution
+    pinv(M) N, its residual ||M x - N||, and the tolerance scale
+    max(1, ||M||, ||N||) against which callers judge both.
+    """
+    bw = krein_adjoint(p.b, p.space) @ p.w
+    m, n = bw @ p.b, bw @ target
+    u, s, vh = np.linalg.svd(m)
+    r = numerical_rank(s, p.space.dim, rank_tol, _normal_context(p))
+    coef = u[:, :r].conj().T @ n
+    violation = opnorm(n - u[:, :r] @ coef)
+    x = (vh[:r].conj().T / s[:r]) @ coef
+    return violation, x, opnorm(m @ x - n), max(1.0, s[0], opnorm(n))
+
+
 def normal_solvable(p, rank_tol=None):
     """Douglas range condition R(B^#WC) ⊆ R(B^#WB), as a predicate."""
-    m, n = normal_matrices(p)
-    frame = orth_frame(m, rank_tol, context=_normal_context(p))
-    outside = n - frame @ (frame.conj().T @ n)
-    return opnorm(outside) <= p.space.tol * scale_of(m, n)
+    violation, _, _, sc = _normal_solve(p, p.c, rank_tol)
+    return violation <= p.space.tol * sc
+
+
+def _solve_normal(p, rank_tol):
+    """solve_normal, also returning the normal residual of X0."""
+    violation, x0, resid, sc = _normal_solve(p, p.c, rank_tol)
+    if violation > p.space.tol * sc:
+        raise NormalEquationUnsolvable(
+            f"Douglas range condition fails (residual {violation:.3e})",
+            residual=violation)
+    if resid > p.space.tol * sc:
+        raise InternalCertificateFailure(
+            f"normal equation residual {resid:.3e} after solvable test")
+    return x0, resid
 
 
 def solve_normal(p, rank_tol=None):
@@ -74,22 +106,7 @@ def solve_normal(p, rank_tol=None):
     Solvability is the Douglas range condition R(B^#WC) ⊆ R(B^#WB);
     when it fails the violation residual is attached to the error.
     """
-    m, n = normal_matrices(p)
-    ctx = _normal_context(p)
-    sc = scale_of(m, n)
-    frame = orth_frame(m, rank_tol, context=ctx)
-    outside = n - frame @ (frame.conj().T @ n)
-    violation = opnorm(outside)
-    if violation > p.space.tol * sc:
-        raise NormalEquationUnsolvable(
-            f"Douglas range condition fails (residual {violation:.3e})",
-            residual=violation)
-    x0 = pinv(m, rank_tol, context=ctx) @ n
-    resid = opnorm(m @ x0 - n)
-    if resid > p.space.tol * sc:
-        raise InternalCertificateFailure(
-            f"normal equation residual {resid:.3e} after solvable test")
-    return x0
+    return _solve_normal(p, rank_tol)[0]
 
 
 def normal_residual(p, x):
@@ -113,21 +130,12 @@ class CertificateReport:
         return self.violations == 0
 
 
-def _batched_f(p, xs):
-    """F(X_i) for a stack of matrices, shape (n, dim, dim)."""
-    j = p.space.j_ref
-    r = np.einsum("ij,njk->nik", p.b, xs) - p.c
-    radj = j @ r.conj().transpose(0, 2, 1) @ j
-    return radj @ (p.w @ r)
-
-
 def _sample_directions(space, anchor, n_samples, seed):
     """Matrices anchor + t * R at log-spaced scales t; mixing scales makes
     first-order optimality violations visible alongside global ones."""
     rng = np.random.default_rng(seed)
     d = space.dim
-    r = rng.standard_normal((n_samples, d, d)) \
-        + 1j * rng.standard_normal((n_samples, d, d))
+    r = crand(rng, n_samples, d, d)
     r /= np.maximum(1e-12, np.abs(r).max(axis=(1, 2)))[:, None, None]
     t = np.logspace(-2, 1, n_samples)
     return anchor + t[:, None, None] * r
@@ -147,7 +155,7 @@ def minimality_certificate(p, x0, n_samples=64, seed=0, sense="min"):
     """Sampled check that F(X) - F(X0) (or its negative, for the maximum
     problem) stays positive in the indefinite order."""
     xs = _sample_directions(p.space, x0, n_samples, seed)
-    diffs = _batched_f(p, xs) - eval_f(p, x0)
+    diffs = _f(p, xs) - eval_f(p, x0)
     if sense == "max":
         diffs = -diffs
     floors = _order_floors(p.space, diffs)
@@ -168,9 +176,20 @@ class ImsSolution:
     certificate: CertificateReport
     sense: str
 
-    @property
-    def min_value(self):
-        return self.extremal_value
+
+def _schur_value(p, s, value, rank_tol, what):
+    """C^# W_{/[S]} C, checked against a solver's value, and the scale it
+    was judged at; (None, None) when W is not complementable for S."""
+    if not is_complementable(p.w, s, p.space, rank_tol):
+        return None, None
+    shorted = schur_complement(p.w, s, p.space, rank_tol=rank_tol).schur
+    schur_value = krein_sandwich(p.c, shorted, p.space)
+    gap = opnorm(value - schur_value)
+    sc = scale_of(p.w, p.c, value)
+    if gap > p.space.tol * sc:
+        raise InternalCertificateFailure(
+            f"{what} differs from Schur form by {gap:.3e}")
+    return schur_value, sc
 
 
 def _solve_extremal(p, sense, certificate_samples, seed, rank_tol):
@@ -181,19 +200,9 @@ def _solve_extremal(p, sense, certificate_samples, seed, rank_tol):
     else:
         if not is_w_nonpositive(p.w, s, p.space):
             raise RangeNotNonpositive("R(B) is not W-nonpositive")
-    x0 = solve_normal(p, rank_tol)
+    x0, resid = _solve_normal(p, rank_tol)
     value = eval_f(p, x0)
-    resid = normal_residual(p, x0)
-
-    schur_value = None
-    if is_complementable(p.w, s, p.space, rank_tol):
-        shorted = schur_complement(p.w, s, p.space, rank_tol=rank_tol).schur
-        schur_value = krein_adjoint(p.c, p.space) @ shorted @ p.c
-        gap = opnorm(value - schur_value)
-        if gap > p.space.tol * scale_of(p.w, p.c, value):
-            raise InternalCertificateFailure(
-                f"extremal value differs from Schur form by {gap:.3e}")
-
+    schur_value, _ = _schur_value(p, s, value, rank_tol, "extremal value")
     cert = minimality_certificate(p, x0, certificate_samples, seed, sense)
     if not cert.passed:
         raise InternalCertificateFailure(
@@ -228,18 +237,12 @@ def solve_wils_vector(p, y, rank_tol=None):
     s = p.range_b(rank_tol)
     if not is_w_nonnegative(p.w, s, p.space):
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
-    m, _ = normal_matrices(p)
-    ctx = _normal_context(p)
-    rhs = krein_adjoint(p.b, p.space) @ p.w @ y
-    sc = scale_of(m, rhs[:, None])
-    frame = orth_frame(m, rank_tol, context=ctx)
-    outside = rhs - frame @ (frame.conj().T @ rhs)
-    violation = float(np.linalg.norm(outside))
+    violation, z, _, sc = _normal_solve(p, y[:, None], rank_tol)
     if violation > p.space.tol * sc:
         raise NormalEquationUnsolvable(
             f"no weighted solution for this right-hand side "
             f"(residual {violation:.3e})", residual=violation)
-    return pinv(m, rank_tol, context=ctx) @ rhs
+    return z[:, 0]
 
 
 def wils_objective(p, z, y):
@@ -281,12 +284,16 @@ def split_b(p, signature=None, rank_tol=None):
     return SplitB(b_plus=p_plus @ p.b, b_minus=p_minus @ p.b, split=split)
 
 
+def _fj(p, split, x, y):
+    """F_J(X, Y) where either argument may be a stack of operators."""
+    return krein_sandwich(split.b_plus @ x + split.b_minus @ y - p.c, p.w,
+                          p.space)
+
+
 def eval_fj(p, split, x, y):
     """Two-variable objective F_J(X, Y); F_J(X, X) = F(X)."""
-    x = p.space.check_operator(x)
-    y = p.space.check_operator(y)
-    r = split.b_plus @ x + split.b_minus @ y - p.c
-    return krein_adjoint(r, p.space) @ p.w @ r
+    return _fj(p, split, p.space.check_operator(x),
+               p.space.check_operator(y))
 
 
 @dataclass(frozen=True)
@@ -317,17 +324,13 @@ def solve_imms(p, rank_tol=None):
     z = z1 + z2
     value = eval_f(p, z)
 
-    schur_value = None
     s = p.range_b(rank_tol)
-    if is_complementable(p.w, s, p.space, rank_tol):
-        shorted = schur_complement(p.w, s, p.space, rank_tol=rank_tol).schur
-        cadj = krein_adjoint(p.c, p.space)
-        schur_value = cadj @ shorted @ p.c
+    schur_value, sc = _schur_value(p, s, value, rank_tol, "min-max value")
+    if schur_value is not None:
         q = symmetric_projection(p.w, s, p.space, rank_tol=rank_tol)
-        via_q = cadj @ p.w @ (np.eye(p.space.dim) - q) @ p.c
-        sc = scale_of(p.w, p.c, value)
-        if opnorm(value - schur_value) > p.space.tol * sc \
-                or opnorm(value - via_q) > p.space.tol * sc:
+        via_q = krein_adjoint(p.c, p.space) @ p.w \
+            @ (np.eye(p.space.dim) - q) @ p.c
+        if opnorm(value - via_q) > p.space.tol * sc:
             raise InternalCertificateFailure(
                 "min-max value disagrees with the closed forms")
     return ImmsSolution(z=z, z1=z1, z2=z2, minmax_value=value,
@@ -348,8 +351,7 @@ def neutral_shift(p, seed, rank_tol=None):
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)
     rng = np.random.default_rng(seed)
     targets = s.frame @ kernel          # neutral directions inside R(B)
-    mix = rng.standard_normal((targets.shape[1], p.space.dim)) \
-        + 1j * rng.standard_normal((targets.shape[1], p.space.dim))
+    mix = crand(rng, targets.shape[1], p.space.dim)
     return pinv(p.b, rank_tol) @ (targets @ mix)
 
 
@@ -370,26 +372,24 @@ class SaddleReport:
         return self.violations_min_side == 0 and self.violations_max_side == 0
 
 
+def _saddle_sides(p, split, z, n_samples, seed):
+    """F_J(X_i, Z) over sampled X, then F_J(Z, Y_i) over sampled Y.
+
+    Each side's samples are drawn only when it is asked for, so one
+    side's stacks are never held alongside the other's.
+    """
+    yield _fj(p, split, _sample_directions(p.space, z, n_samples, seed), z)
+    yield _fj(p, split, z, _sample_directions(p.space, z, n_samples,
+                                              seed + 1))
+
+
 def verify_saddle(p, split, sol, n_samples=64, seed=0):
     """Sample the two saddle inequalities around a candidate solution."""
     z = sol.z if hasattr(sol, "z") else p.space.check_operator(sol)
     center = eval_fj(p, split, z, z)
-    xs = _sample_directions(p.space, z, n_samples, seed)
-    ys = _sample_directions(p.space, z, n_samples, seed + 1)
-
-    j = p.space.j_ref
-    bz_minus = split.b_minus @ z
-    r_min = np.einsum("ij,njk->nik", split.b_plus, xs) + bz_minus - p.c
-    radj = j @ r_min.conj().transpose(0, 2, 1) @ j
-    f_x_z = radj @ (p.w @ r_min)
-
-    bz_plus = split.b_plus @ z
-    r_max = bz_plus + np.einsum("ij,njk->nik", split.b_minus, ys) - p.c
-    radj = j @ r_max.conj().transpose(0, 2, 1) @ j
-    f_z_y = radj @ (p.w @ r_max)
-
-    floors_min = _order_floors(p.space, f_x_z - center)
-    floors_max = _order_floors(p.space, center - f_z_y)
+    sides = _saddle_sides(p, split, z, n_samples, seed)
+    floors_min = _order_floors(p.space, next(sides) - center)
+    floors_max = _order_floors(p.space, center - next(sides))
     tol = p.space.tol
     return SaddleReport(
         n_samples=n_samples,

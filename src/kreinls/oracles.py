@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SignatureOperator, krein_adjoint
+from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
 from .linalg import pinv
 from .lsq import split_b
@@ -49,7 +49,7 @@ def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
     best_trace = np.inf
     history = []
     for e in samples:
-        cand = krein_adjoint(e, space) @ w @ e
+        cand = krein_sandwich(e, w, space)
         tr = float(np.trace(space.j_ref @ cand).real)
         if tr < best_trace:
             best_trace, best = tr, cand
@@ -75,12 +75,8 @@ def _objective_pieces(p, signature):
 
 
 def _trace_form(m1, m2, r):
-    """tr(M1 R^* M2 R) for one residual matrix."""
-    return float(np.einsum("ab,cb,cd,da->", m1, r.conj(), m2, r).real)
-
-
-def _batched_trace_form(m1, m2, r):
-    return np.einsum("ab,ncb,cd,nda->n", m1, r.conj(), m2, r).real
+    """tr(M1 R^* M2 R) for one residual matrix or a stack of them."""
+    return np.einsum("ab,...cb,cd,...da->...", m1, r.conj(), m2, r).real
 
 
 def _grid_points(dim, grid, span):
@@ -94,8 +90,7 @@ def _sweep_grid(p, signature, grid, span, sense):
         raise DimensionMismatch("grid sweep is limited to dim <= 2")
     m1, m2 = _objective_pieces(p, signature)
     xs = _grid_points(p.space.dim, grid, span)
-    r = np.einsum("ij,njk->nik", p.b, xs) - p.c
-    vals = _batched_trace_form(m1, m2, r)
+    vals = _trace_form(m1, m2, p.b @ xs - p.c)
     value = float(vals.min() if sense == "min" else vals.max())
     return SweepResult(value=value, mode="grid", history=[value])
 
@@ -112,7 +107,7 @@ def _column_sweeps(bmat, m1, m2, target, x0, max_sweeps, conv_tol):
     x = x0.copy()
 
     def objective(xc):
-        return _trace_form(m1, m2, bmat @ xc - target)
+        return float(_trace_form(m1, m2, bmat @ xc - target))
 
     history = [objective(x)]
     stable = 0
@@ -154,7 +149,7 @@ def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
 
     def value(xc, yc):
         r = split.b_plus @ xc + split.b_minus @ yc - p.c
-        return _trace_form(m1, m2, r)
+        return float(_trace_form(m1, m2, r))
 
     history = [value(x, y)]
     converged = False

@@ -7,6 +7,7 @@ C, a subspace frame, and a tolerance override.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +54,11 @@ def decode_matrix(obj, where, rows=None, cols=None):
     if cols is not None and mat.shape[1] != cols:
         raise MalformedInput(
             f"{where}: expected {cols} columns, got {mat.shape[1]}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if len(bad):
+        i, j = bad[0]
+        raise MalformedInput(
+            f"{where}[{i}][{j}]: entry {obj[i][j]!r} is not finite")
     return mat
 
 
@@ -87,12 +93,11 @@ class ProblemData:
 def parse_problem(data, tol_override=None):
     if not isinstance(data, dict):
         raise MalformedInput("problem file must be a JSON object")
-    try:
-        dim = int(data["dim"])
-    except KeyError:
-        raise MalformedInput("missing field 'dim'") from None
-    except (TypeError, ValueError):
-        raise MalformedInput("'dim' must be an integer") from None
+    if "dim" not in data:
+        raise MalformedInput("missing field 'dim'")
+    dim = data["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise MalformedInput("'dim' must be an integer")
     if dim <= 0:
         raise MalformedInput("'dim' must be positive")
     if "J" not in data:
@@ -100,8 +105,11 @@ def parse_problem(data, tol_override=None):
     if "W" not in data:
         raise MalformedInput("missing field 'W'")
 
-    tol = tol_override if tol_override is not None \
-        else float(data.get("tol", DEFAULT_TOL))
+    tol = data.get("tol", DEFAULT_TOL) if tol_override is None \
+        else tol_override
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not 0 < tol < np.inf:
+        raise MalformedInput("'tol' must be a positive finite number")
     j = decode_matrix(data["J"], "J", rows=dim, cols=dim)
     try:
         space = KreinSpace(dim=dim, j_ref=j, tol=tol)
@@ -125,26 +133,23 @@ def parse_problem(data, tol_override=None):
     return ProblemData(space=space, w=w, b=b, c=c, subspace=sub, meta=meta)
 
 
-def load_problem(path, tol_override=None):
+def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
-    return parse_problem(data, tol_override)
+
+
+def load_problem(path, tol_override=None):
+    return parse_problem(_read_json(path), tol_override)
 
 
 def load_operator(path, dim=None):
     """An operator file: either a bare matrix or {"matrix": ...}."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict):
         if "matrix" not in data:
             raise MalformedInput(f"{path}: missing field 'matrix'")

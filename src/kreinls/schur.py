@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SignatureOperator, krein_adjoint,
+from .core import (SignatureOperator, krein_sandwich,
                    random_signature_operator, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
@@ -161,8 +161,8 @@ def decompose_w1w2w3(w, s, space, rank_tol=None):
     split = w_split(s, w, SignatureOperator.reference(space), space)
     q_plus = _split_projection(w, split.s_plus, split.s_minus, space, rank_tol)
     q_minus = _split_projection(w, split.s_minus, split.s_plus, space, rank_tol)
-    w2 = krein_adjoint(q_plus, space) @ w @ q_plus
-    w3 = -(krein_adjoint(q_minus, space) @ w @ q_minus)
+    w2 = krein_sandwich(q_plus, w, space)
+    w3 = -krein_sandwich(q_minus, w, space)
     w1 = schur_complement(w, s, space, rank_tol=rank_tol).schur
 
     sc = scale_of(w)
@@ -288,7 +288,7 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
 
     q = symmetric_projection(w, s, space, rank_tol=rank_tol)
     e0 = np.eye(space.dim) - q
-    eq_resid = opnorm(_sandwich(e0, w, space) - schur) / wn
+    eq_resid = opnorm(krein_sandwich(e0, w, space) - schur) / wn
 
     if s.dim >= space.dim:
         # E = 0 is the whole family when S is everything
@@ -301,7 +301,7 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     violations = 0
     count = 0
     for e in samples:
-        gap = _sandwich(e, w, space) - schur
+        gap = krein_sandwich(e, w, space) - schur
         floor = min_eig_herm(space.j_ref @ gap) / scale_of(gap, w)
         min_floor = min(min_floor, floor)
         if floor < -space.tol:
@@ -310,7 +310,3 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     return ProjectionInfimumReport(
         n_samples=count, min_floor=float(min_floor),
         equality_residual=eq_resid, violations=violations)
-
-
-def _sandwich(e, w, space):
-    return krein_adjoint(e, space) @ w @ e

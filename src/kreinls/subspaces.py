@@ -16,8 +16,8 @@ from scipy.linalg import eigh
 from .core import SignatureOperator, require_krein_selfadjoint
 from .errors import (DimensionMismatch, InternalCertificateFailure,
                      NotComplementable)
-from .linalg import (as_complex, herm, min_eig_herm, null_frame, opnorm,
-                     orth_frame, scale_of, subspace_intersection,
+from .linalg import (as_complex, crand, herm, min_eig_herm, null_frame,
+                     opnorm, orth_frame, scale_of, subspace_intersection,
                      subspace_sum)
 
 
@@ -56,10 +56,6 @@ class Subspace:
     def projector(self):
         """Coordinate-orthogonal projection onto the subspace."""
         return self.frame @ self.frame.conj().T
-
-    def orthonormality_defect(self):
-        k = self.dim
-        return opnorm(self.frame.conj().T @ self.frame - np.eye(k))
 
     def contains(self, vectors, tol):
         """Do the given columns lie in the subspace (within tol)?"""
@@ -169,8 +165,6 @@ def is_w_nonnegative(w, s, space):
 
 
 def is_w_nonpositive(w, s, space):
-    if s.dim == 0:
-        return True
     return is_w_nonnegative(-as_complex(w), s, space)
 
 
@@ -189,9 +183,7 @@ def oblique_projection(onto, along):
 def _complement_within(inner, outer):
     """Frame of the coordinate-orthogonal complement of span(inner) inside
     span(outer); requires span(inner) <= span(outer)."""
-    if outer.shape[1] == 0:
-        return outer
-    if inner.shape[1] == 0:
+    if outer.shape[1] == 0 or inner.shape[1] == 0:
         return outer
     coords = inner.conj().T @ outer     # inner expressed against outer
     return outer @ null_frame(coords)
@@ -245,7 +237,7 @@ def projection_with_kernel(s, seed, mix_strength=1.5):
     if k == 0:
         return np.eye(n, dtype=complex)
     rng = np.random.default_rng(seed)
-    ell = rng.standard_normal((k, n - k)) + 1j * rng.standard_normal((k, n - k))
+    ell = crand(rng, k, n - k)
     nl = opnorm(ell)
     if nl > mix_strength:
         ell *= mix_strength / nl

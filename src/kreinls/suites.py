@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SignatureOperator, krein_adjoint,
+from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
                    random_signature_operator, standard_space)
 from .errors import (NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive, UnknownSuite)
@@ -19,7 +19,7 @@ from .generate import GeneratorSpec, generate_instance
 from .jtrace import (change_of_signature, frechet_derivative, frechet_fd,
                      js2_inner, js2_signature_identity, solve_trace_min,
                      solve_trace_minmax, trace_j, verify_trace_laws)
-from .linalg import min_eig_herm, opnorm, scale_of
+from .linalg import crand, min_eig_herm, opnorm, scale_of
 from .lsq import (WeightedProblem, eval_f, eval_fj, neutral_shift,
                   normal_residual, normal_solvable, solve_ims, solve_ims_max,
                   solve_imms, solve_wils_vector, split_b, verify_saddle)
@@ -252,20 +252,16 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
                                 sol.certificate.min_floor, FLOOR_TOL)
 
             rng = np.random.default_rng(inst.spec.seed)
-            y = rng.standard_normal(space.dim) \
-                + 1j * rng.standard_normal(space.dim)
+            y = crand(rng, space.dim)
             z = solve_wils_vector(inst.problem, y)
-            resid = np.linalg.norm(
-                krein_adjoint(inst.problem.b, space)
-                @ inst.problem.w @ (inst.problem.b @ z - y))
+            bw = krein_adjoint(inst.problem.b, space) @ inst.problem.w
+            resid = np.linalg.norm(bw @ (inst.problem.b @ z - y))
             report.record("wils_normal_residual", resid,
                           space.tol * scale_of(inst.problem.w,
                                                inst.problem.b))
             xy = sol.x0 @ y
             resid_x = np.linalg.norm(
-                krein_adjoint(inst.problem.b, space)
-                @ inst.problem.w @ (inst.problem.b @ xy
-                                    - inst.problem.c @ y))
+                bw @ (inst.problem.b @ xy - inst.problem.c @ y))
             report.record("operator_solution_is_pointwise", resid_x,
                           space.tol * scale_of(inst.problem.w,
                                                inst.problem.b,
@@ -289,8 +285,7 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
                           FLOOR_TOL * scale_of(p.w, p.b))
 
         rng = np.random.default_rng(inst.spec.seed)
-        x = rng.standard_normal((space.dim,) * 2) \
-            + 1j * rng.standard_normal((space.dim,) * 2)
+        x = crand(rng, space.dim, space.dim)
         diag_gap = opnorm(eval_fj(p, split, x, x) - eval_f(p, x))
         report.record("fj_diagonal_identity", diag_gap,
                       space.tol * scale_of(p.w, p.b, p.c, x))
@@ -316,7 +311,7 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
         z2 = neutral_shift(p, inst.spec.seed + 9)
         if opnorm(z2) > 0:
             bz2 = p.b @ z2
-            neutral = opnorm(krein_adjoint(bz2, space) @ p.w @ bz2)
+            neutral = opnorm(krein_sandwich(bz2, p.w, space))
             report.record("z2_neutrality", neutral,
                           space.tol * scale_of(p.w, bz2))
             shifted = sol.z + z2
@@ -371,8 +366,7 @@ def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
                            cond_bound):
         p, space = inst.problem, inst.space
         rng = np.random.default_rng(inst.spec.seed)
-        s_op = rng.standard_normal((space.dim,) * 2) \
-            + 1j * rng.standard_normal((space.dim,) * 2)
+        s_op = crand(rng, space.dim, space.dim)
         alpha, beta = complex(*rng.standard_normal(2)), \
             complex(*rng.standard_normal(2))
         sig = random_signature_operator(space, inst.spec.seed + 3)
@@ -387,10 +381,8 @@ def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
                       chg.residual / max(1.0, abs(chg.lhs)), space.tol)
 
         for k in range(10):
-            x = rng.standard_normal((space.dim,) * 2) \
-                + 1j * rng.standard_normal((space.dim,) * 2)
-            y = rng.standard_normal((space.dim,) * 2) \
-                + 1j * rng.standard_normal((space.dim,) * 2)
+            x = crand(rng, space.dim, space.dim)
+            y = crand(rng, space.dim, space.dim)
             analytic = frechet_derivative(p, sig, x, y)
             numeric = frechet_fd(p, sig, x, y, scheme="central")
             denom = max(1.0, abs(analytic), abs(numeric))
@@ -406,13 +398,13 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
         ref = SignatureOperator.reference(space)
         s = inst.subspace
         shorted = schur_complement(p.w, s, space).schur
-        closed_matrix = krein_adjoint(p.c, space) @ shorted @ p.c
+        closed_matrix = krein_sandwich(p.c, shorted, space)
+        closed = float(np.trace(ref.entries @ closed_matrix).real)
+        den = max(1.0, abs(closed))
 
         if is_w_nonnegative(p.w, s, space):
             sol = solve_trace_min(p, ref, certificate_samples=samples,
                                   seed=inst.spec.seed)
-            closed = float(np.trace(ref.entries @ closed_matrix).real)
-            den = max(1.0, abs(closed))
             report.record("trace_min_closed_form",
                           abs(sol.value - closed) / den, IDENTITY_RTOL)
             report.record_floor("trace_min_certificate",
@@ -427,8 +419,6 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
 
         sol_mm = solve_trace_minmax(p, ref, certificate_samples=samples,
                                     seed=inst.spec.seed)
-        closed = float(np.trace(ref.entries @ closed_matrix).real)
-        den = max(1.0, abs(closed))
         report.record("trace_minmax_closed_form",
                       abs(sol_mm.value - closed) / den, IDENTITY_RTOL)
         report.record_floor("trace_minmax_min_floor",
@@ -461,16 +451,13 @@ def _suite_js2(report, spec, count, dim, seed, cond_bound, samples):
         rng = np.random.default_rng(inst.spec.seed)
         sig = random_signature_operator(space, inst.spec.seed + 6)
         for t in (inst.problem.w, inst.problem.b,
-                  rng.standard_normal((space.dim,) * 2)
-                  + 1j * rng.standard_normal((space.dim,) * 2)):
+                  crand(rng, space.dim, space.dim)):
             idr = js2_signature_identity(t, sig, space)
             report.record("js2_identity",
                           idr.residual / scale_of(t) ** 2, EQUALITY_RTOL)
 
-        s_op = rng.standard_normal((space.dim,) * 2) \
-            + 1j * rng.standard_normal((space.dim,) * 2)
-        t_op = rng.standard_normal((space.dim,) * 2) \
-            + 1j * rng.standard_normal((space.dim,) * 2)
+        s_op = crand(rng, space.dim, space.dim)
+        t_op = crand(rng, space.dim, space.dim)
         sym = abs(js2_inner(s_op, t_op, sig, space)
                   - np.conj(js2_inner(t_op, s_op, sig, space)))
         report.record("js2_hermitian_symmetry",

@@ -6,15 +6,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import crandn
-from kreinls import (GeneratorSpec, MinMaxUnsolvable,
+from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
                      NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive, SignatureOperator, WeightedProblem,
                      eval_f, eval_fj, generate_instance, is_krein_selfadjoint,
-                     krein_adjoint, minimality_certificate, neutral_shift,
-                     normal_residual, solve_ims, solve_ims_max, solve_imms,
-                     solve_normal, solve_wils_vector, split_b,
-                     verify_saddle, wils_objective)
+                     is_w_nonnegative, krein_adjoint, minimality_certificate,
+                     neutral_shift, normal_residual, normal_solvable,
+                     solve_ims, solve_ims_max, solve_imms, solve_normal,
+                     solve_wils_vector, split_b, verify_saddle,
+                     wils_objective)
+from kreinls.core import krein_sandwich
 from kreinls.linalg import min_eig_herm, opnorm
+from kreinls.lsq import _fj
 
 
 def min2x2(space2):
@@ -286,3 +289,63 @@ def test_minimality_certificate_reports():
                                       sol.x0 + 0.5 * np.eye(4),
                                       n_samples=1000, seed=6)
     assert not cert_bad.passed
+
+
+def _regime_problems(regime, seeds=(0, 1, 2)):
+    """Generated dim-6 problems of one regime, each also with C = I."""
+    for seed in seeds:
+        p = generate_instance(GeneratorSpec(dim=6, seed=seed,
+                                            regime=regime)).problem
+        yield p
+        yield WeightedProblem(w=p.w, b=p.b, c=np.eye(6), space=p.space)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_stacked_sandwich_matches_per_operator(regime):
+    rng = np.random.default_rng(7)
+    for p in _regime_problems(regime):
+        split = split_b(p)
+        xs, ys = crandn(rng, 5, 6, 6), crandn(rng, 5, 6, 6)
+        z = crandn(rng, 6, 6)
+        cases = [
+            (krein_sandwich(p.b @ xs - p.c, p.w, p.space),
+             [eval_f(p, x) for x in xs]),
+            (_fj(p, split, xs, z), [eval_fj(p, split, x, z) for x in xs]),
+            (_fj(p, split, z, ys), [eval_fj(p, split, z, y) for y in ys]),
+        ]
+        for stack, singles in cases:
+            assert stack.shape == (5, 6, 6)
+            for got, want in zip(stack, singles):
+                assert opnorm(got - want) <= 1e-13 * max(1.0, opnorm(want))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_normal_solvable_iff_solve_normal_succeeds(regime):
+    for p in _regime_problems(regime):
+        try:
+            solve_normal(p)
+            solved = True
+        except NormalEquationUnsolvable:
+            solved = False
+        assert normal_solvable(p) == solved
+        # the planted regimes decide solvability
+        assert solved == (regime != "non_complementable")
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_wils_vector_is_operator_solution_applied(regime):
+    rng = np.random.default_rng(11)
+    for p in _regime_problems(regime):
+        if not np.array_equal(p.c, np.eye(6)):
+            continue
+        y = crandn(rng, 6)
+        if not is_w_nonnegative(p.w, p.range_b(), p.space):
+            with pytest.raises(RangeNotNonnegative):
+                solve_wils_vector(p, y)
+        elif not normal_solvable(p):
+            with pytest.raises(NormalEquationUnsolvable):
+                solve_wils_vector(p, y)
+        else:
+            x0 = solve_normal(p)
+            assert_allclose(solve_wils_vector(p, y), x0 @ y,
+                            atol=1e-10 * max(1.0, opnorm(x0)))

@@ -1,6 +1,7 @@
 """Verification suites and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,20 @@ def test_parse_problem_errors():
         parse_problem({"dim": 2,
                        "J": [[1, 1], [0, -1]],              # not a signature
                        "W": [[1, 0], [0, 1]]})
+    for dim in (2.7, "2", True):                           # not an integer
+        with pytest.raises(MalformedInput, match="'dim' must be an integer"):
+            parse_problem({"dim": dim, "J": [[1, 0], [0, -1]],
+                           "W": [[1, 0], [0, 1]]})
+    for entry, shown in ((float("nan"), "nan"), ([1.0, float("inf")],
+                                                 "[1.0, inf]")):
+        msg = f"W[1][0]: entry {shown} is not finite"
+        with pytest.raises(MalformedInput, match=re.escape(msg)):
+            parse_problem({"dim": 2, "J": [[1, 0], [0, -1]],
+                           "W": [[1, 0], [entry, 1]]})
+    for tol in ("small", "1e-6", float("nan"), -1e-10, 0):
+        with pytest.raises(MalformedInput, match="'tol' must be a positive"):
+            parse_problem({"dim": 2, "J": [[1, 0], [0, -1]],
+                           "W": [[1, 0], [0, 1]], "tol": tol})
 
 
 def _write_min_problem(path):
@@ -130,6 +145,24 @@ def test_cli_malformed_exit_code(tmp_path, capsys):
     path2 = tmp_path / "bad2.json"
     dump_json({"dim": 0, "J": [], "W": []}, path2)
     assert main(["ims", "-i", str(path2)]) == 2
+
+
+def test_cli_non_finite_entry_exit_code(tmp_path, capsys):
+    doc = _write_min_problem(tmp_path / "ok.json")
+    doc["W"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    dump_json(doc, path)
+    assert main(["ims", "-i", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "MalformedInput",
+                   "message": "W[0][0]: entry nan is not finite"}
+
+    op_path = tmp_path / "op.json"
+    dump_json({"matrix": [[1, float("inf")], [0, 1]]}, op_path)
+    assert main(["trace", "-i", str(tmp_path / "ok.json"),
+                 "--op", str(op_path)]) == 2
+    assert "matrix[0][1]: entry inf is not finite" \
+        in capsys.readouterr().err
 
 
 def test_cli_generate_roundtrip(tmp_path, capsys):
