@@ -13,9 +13,10 @@ from .errors import (DimensionMismatch, InternalCertificateFailure,
                      KreinError, MalformedInput, MinMaxUnsolvable,
                      NormalEquationUnsolvable, NotASignature,
                      NotComplementable, NotKreinSelfadjoint,
-                     NotWeaklyComplementable, RangeNotNonnegative,
-                     RangeNotNonpositive, RankThresholdAmbiguous,
-                     UnknownSuite, UnsatisfiableSpec)
+                     NotWeaklyComplementable, OperandOverflow,
+                     RangeNotNonnegative, RangeNotNonpositive,
+                     RankThresholdAmbiguous, UnknownSuite,
+                     UnsatisfiableSpec)
 from .generate import (REGIMES, GeneratedInstance, GeneratorSpec,
                        generate_instance)
 from .jtrace import (ChangeOfSignatureReport, Js2Report, TraceLawsReport,

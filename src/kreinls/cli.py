@@ -232,7 +232,7 @@ def main(argv=None):
     try:
         return args.fn(args)
     except MalformedInput as exc:
-        print(json.dumps({"error": "MalformedInput", "message": str(exc)}),
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return EXIT_MALFORMED
     except (NormalEquationUnsolvable, MinMaxUnsolvable) as exc:

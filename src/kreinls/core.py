@@ -10,11 +10,10 @@ coordinates, so independence claims become plain matrix identities.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, NotASignature, NotKreinSelfadjoint
-from .linalg import (as_complex, crand, herm, hpd_sqrt, min_eig_herm, opnorm,
-                     scale_of)
+from .linalg import (as_complex, crand, expm, herm, hpd_sqrt, min_eig_herm,
+                     opnorm, scale_of)
 
 DEFAULT_TOL = 1e-10
 
@@ -165,6 +164,20 @@ def is_krein_positive(w, space):
     return min_eig_herm(space.j_ref @ w) >= -space.tol * scale_of(w)
 
 
+def _krein_skew(space, seed, strength):
+    """(K, ||K||): K = (H - H^#)/2 for a seeded random H, scaled down to
+    norm ``strength`` when larger.  K^# = -K makes exp(K) [.,.]-unitary."""
+    rng = np.random.default_rng(seed)
+    n = space.dim
+    h = crand(rng, n, n)
+    k = 0.5 * (h - krein_adjoint(h, space))
+    nk = opnorm(k)
+    if nk > strength:
+        k *= strength / nk
+        nk = strength
+    return k, nk
+
+
 def random_signature_operator(space, seed, strength=1.0):
     """Seeded alternate fundamental decomposition.
 
@@ -173,13 +186,6 @@ def random_signature_operator(space, seed, strength=1.0):
     invariant by construction.  ``strength`` caps the norm of K, bounding
     the conditioning of the induced Gram.
     """
-    rng = np.random.default_rng(seed)
-    n = space.dim
-    h = crand(rng, n, n)
-    k = 0.5 * (h - krein_adjoint(h, space))
-    nk = opnorm(k)
-    if nk > strength:
-        k *= strength / nk
-    v = expm(k)
+    v = expm(*_krein_skew(space, seed, strength))
     j = v @ space.j_ref @ np.linalg.inv(v)
     return SignatureOperator.from_matrix(j, space)

@@ -74,3 +74,8 @@ class UnknownSuite(KreinError):
 
 class MalformedInput(KreinError):
     """Problem/report file failed to parse; message carries field context."""
+
+
+class OperandOverflow(MalformedInput):
+    """Operands so large that the products B^#WB, B^#WC and C^#WC, from
+    which every objective value is built, would overflow."""

@@ -34,6 +34,14 @@ def opnorm(a):
     return float(np.linalg.norm(a, 2))
 
 
+def fro_norm(a):
+    """Frobenius norm, taken on a / max|a_ij| so that the sum of squares
+    cannot overflow for any finite entries."""
+    a = np.asarray(a)
+    m = float(np.abs(a).max()) if a.size else 0.0
+    return m * float(np.linalg.norm(a / m)) if 0.0 < m < np.inf else m
+
+
 def scale_of(*operands):
     """Tolerance scale: max(1, operator norms of the operands)."""
     return max(1.0, *(opnorm(a) for a in operands)) if operands else 1.0
@@ -133,6 +141,49 @@ def hpd_sqrt(g):
     if w.min() <= 0:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return (q * np.sqrt(w)) @ q.conj().T, (q / np.sqrt(w)) @ q.conj().T
+
+
+def generalized_eigh(a, g):
+    """Hermitian-definite eigenproblem a v = lam g v: a and g Hermitian,
+    g positive definite.
+
+    Cholesky reduction g = L L*: the eigenvectors y of L^{-1} a L^{-*}
+    give v = L^{-*} y.  Returns ascending eigenvalues and eigenvectors
+    that are orthonormal in the g inner product (v* g v = I).
+    """
+    linv = np.linalg.inv(np.linalg.cholesky(g))
+    lam, y = np.linalg.eigh(herm(linv @ a @ linv.conj().T))
+    return lam, linv.conj().T @ y
+
+
+# 1/k! for the degree-18 Taylor polynomial of exp: the first omitted
+# term, 1/19! ~ 8e-18, is below double rounding when ||a|| <= 1.
+_EXP_COEFS = np.cumprod(np.r_[1.0, 1.0 / np.arange(1, 19)])
+_EXP_BLOCK = 4          # Paterson-Stockmeyer block: powers a^0 .. a^4
+
+
+def expm(a, norm):
+    """Matrix exponential, given an upper bound ``norm`` on ||a||_2.
+
+    a is scaled by 2^-s so that its norm is at most 1, the degree-18
+    Taylor polynomial is evaluated by Paterson-Stockmeyer (3 products
+    for the powers, 4 for the Horner steps in a^4), and the result is
+    squared s times.
+    """
+    s = max(0, int(np.ceil(np.log2(norm)))) if norm > 1 else 0
+    a = a / 2.0 ** s
+    pows = [np.eye(a.shape[0], dtype=a.dtype), a]
+    for _ in range(_EXP_BLOCK - 1):
+        pows.append(pows[-1] @ a)
+    top = len(_EXP_COEFS) - 1
+    out = None
+    for start in range(top - top % _EXP_BLOCK, -1, -_EXP_BLOCK):
+        block = sum(c * p for c, p in
+                    zip(_EXP_COEFS[start:start + _EXP_BLOCK], pows))
+        out = block if out is None else out @ pows[_EXP_BLOCK] + block
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def g_orthonormalize(frame, g):

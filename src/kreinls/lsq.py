@@ -14,18 +14,30 @@ import numpy as np
 from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
                    require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, MinMaxUnsolvable,
-                     NormalEquationUnsolvable, RangeNotNonnegative,
-                     RangeNotNonpositive)
-from .linalg import crand, herm, numerical_rank, opnorm, pinv, scale_of
+                     NormalEquationUnsolvable, OperandOverflow,
+                     RangeNotNonnegative, RangeNotNonpositive)
+from .linalg import (crand, fro_norm, herm, numerical_rank, opnorm, pinv,
+                     scale_of)
 from .schur import schur_complement
 from .subspaces import (WSplit, is_complementable, is_w_nonnegative,
                         is_w_nonpositive, range_subspace,
                         symmetric_projection, w_split)
 
 
+# Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
+# product bounds every entry of B^#WB, B^#WC and C^#WC; the sampled
+# certificates evaluate F at up to about 100 dim^2 times that scale, which
+# stays below the largest double, 1.8e308, up to dim 1,000.
+OPERAND_LIMIT = 1e300
+
+
 @dataclass(frozen=True)
 class WeightedProblem:
-    """The data (W, B, C) of min/max/min-max of (BX-C)^# W (BX-C)."""
+    """The data (W, B, C) of min/max/min-max of (BX-C)^# W (BX-C).
+
+    Raises OperandOverflow when max(||B||, ||C||)^2 ||W|| exceeds
+    ``OPERAND_LIMIT``: the normal-equation products would overflow.
+    """
 
     w: np.ndarray
     b: np.ndarray
@@ -33,10 +45,17 @@ class WeightedProblem:
     space: "KreinSpace"
 
     def __post_init__(self):
-        w = require_krein_selfadjoint(self.w, self.space)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", self.space.check_operator(self.b))
-        object.__setattr__(self, "c", self.space.check_operator(self.c))
+        w, b, c = (self.space.check_operator(a)
+                   for a in (self.w, self.b, self.c))
+        n = max(fro_norm(b), fro_norm(c))
+        bound = n * n * fro_norm(w)         # float ** would raise, * is inf
+        if not bound <= OPERAND_LIMIT:
+            raise OperandOverflow(
+                f"max(|B|, |C|)^2 |W| = {bound:.3e} exceeds "
+                f"{OPERAND_LIMIT:.0e}: B^#WB, B^#WC and C^#WC would overflow")
+        object.__setattr__(self, "w", require_krein_selfadjoint(w, self.space))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     def range_b(self, rank_tol=None):
         return range_subspace(self.b, rank_tol)

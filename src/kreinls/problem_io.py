@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, KreinSpace
+from .core import DEFAULT_TOL, KreinSpace, is_krein_selfadjoint
 from .errors import KreinError, MalformedInput
 from .lsq import WeightedProblem
 from .subspaces import Subspace
@@ -116,6 +116,8 @@ def parse_problem(data, tol_override=None):
     except KreinError as exc:
         raise MalformedInput(f"J: {exc}") from exc
     w = decode_matrix(data["W"], "W", rows=dim, cols=dim)
+    if not is_krein_selfadjoint(w, space):
+        raise MalformedInput("W: weight is not [.,.]-selfadjoint")
 
     b = decode_matrix(data["B"], "B", rows=dim, cols=dim) \
         if "B" in data else None

@@ -11,14 +11,13 @@ coordinate construction.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import SignatureOperator, require_krein_selfadjoint
 from .errors import (DimensionMismatch, InternalCertificateFailure,
                      NotComplementable)
-from .linalg import (as_complex, crand, herm, min_eig_herm, null_frame,
-                     opnorm, orth_frame, scale_of, subspace_intersection,
-                     subspace_sum)
+from .linalg import (as_complex, crand, generalized_eigh, herm, min_eig_herm,
+                     null_frame, opnorm, orth_frame, scale_of,
+                     subspace_intersection, subspace_sum)
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,11 @@ def w_split(s, w, signature, space):
                       signature)
     a = herm(u.conj().T @ (space.j_ref @ w) @ u)
     g = herm(u.conj().T @ signature.gram @ u)
-    lam, vec = eigh(a, g)
+    lam, vec = generalized_eigh(a, g)
     ztol = space.tol * scale_of(w)
     plus = lam >= -ztol
-    # eigh(a, g) returns g-orthonormal eigenvectors: frames below are
-    # orthonormal in the signature's inner product
+    # the eigenvectors are g-orthonormal: frames below are orthonormal in
+    # the signature's inner product
     return WSplit(
         s_plus=Subspace(np.ascontiguousarray(u @ vec[:, plus])),
         s_minus=Subspace(np.ascontiguousarray(u @ vec[:, ~plus])),

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import crandn
-from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
-                     NormalEquationUnsolvable, RangeNotNonnegative,
+from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
+                     NormalEquationUnsolvable, OperandOverflow,
+                     RangeNotNonnegative,
                      RangeNotNonpositive, SignatureOperator, WeightedProblem,
                      eval_f, eval_fj, generate_instance, is_krein_selfadjoint,
                      is_w_nonnegative, krein_adjoint, minimality_certificate,
@@ -17,7 +18,7 @@ from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
                      wils_objective)
 from kreinls.core import krein_sandwich
 from kreinls.linalg import min_eig_herm, opnorm
-from kreinls.lsq import _fj
+from kreinls.lsq import OPERAND_LIMIT, _fj
 
 
 def min2x2(space2):
@@ -349,3 +350,46 @@ def test_wils_vector_is_operator_solution_applied(regime):
             x0 = solve_normal(p)
             assert_allclose(solve_wils_vector(p, y), x0 @ y,
                             atol=1e-10 * max(1.0, opnorm(x0)))
+
+
+
+
+def _normal_outcome(p):
+    try:
+        return solve_normal(p)
+    except KreinError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_operand_limit(regime):
+    p = generate_instance(GeneratorSpec(dim=8, seed=20190212,
+                                        regime=regime)).problem
+    # rescaled copies far below unit scale are accepted as they were
+    for alpha in (1e-10, 1e-11):
+        WeightedProblem(w=alpha * p.w, b=p.b, c=p.c, space=p.space)
+    bound = max(np.linalg.norm(p.b), np.linalg.norm(p.c)) ** 2 \
+        * np.linalg.norm(p.w)
+    alpha = 0.5 * OPERAND_LIMIT / bound
+    t = np.sqrt(alpha)
+    want = _normal_outcome(p)
+    # W -> alpha W and (B, C) -> t (B, C) keep the normal equation's
+    # solution and put the bound at half the limit; twice it is rejected
+    for (w, b, c), over in (((alpha * p.w, p.b, p.c), (4, 1)),
+                            ((p.w, t * p.b, t * p.c), (1, 2))):
+        big = WeightedProblem(w=w, b=b, c=c, space=p.space)
+        with np.errstate(over="raise", invalid="raise"):
+            got = _normal_outcome(big)
+            # no overflow anywhere in the solvers, whatever they decide
+            for solve in (solve_ims, solve_imms):
+                try:
+                    solve(big)
+                except KreinError:
+                    pass
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert opnorm(got - want) <= 1e-8 * max(1.0, opnorm(want))
+        with pytest.raises(OperandOverflow, match="would overflow"):
+            WeightedProblem(w=over[0] * w, b=over[1] * b, c=over[1] * c,
+                            space=p.space)

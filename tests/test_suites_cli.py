@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from kreinls import (SUITE_NAMES, GeneratorSpec, UnknownSuite, load_problem,
-                     parse_problem, run_suite)
+from kreinls import (SUITE_NAMES, GeneratorSpec, KreinSpace,
+                     NotKreinSelfadjoint, UnknownSuite, WeightedProblem,
+                     load_problem, parse_problem, run_suite)
 from kreinls.cli import main
-from kreinls.problem_io import MalformedInput, dump_json
+from kreinls.problem_io import MalformedInput, decode_matrix, dump_json
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -163,6 +164,46 @@ def test_cli_non_finite_entry_exit_code(tmp_path, capsys):
                  "--op", str(op_path)]) == 2
     assert "matrix[0][1]: entry inf is not finite" \
         in capsys.readouterr().err
+
+
+def _generated_doc(tmp_path, capsys):
+    path = tmp_path / "gen8.json"
+    assert main(["generate", "--regime", "range_nonnegative", "--dim", "8",
+                 "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    return json.loads(path.read_text())
+
+
+def test_cli_non_selfadjoint_weight_exit_code(tmp_path, capsys):
+    doc = _generated_doc(tmp_path, capsys)
+    doc["W"][0][1][0] += 0.5
+    path = tmp_path / "nonsa.json"
+    dump_json(doc, path)
+    for cmd in ("ims", "imms", "schur"):
+        assert main([cmd, "-i", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "MalformedInput",
+                       "message": "W: weight is not [.,.]-selfadjoint"}
+    # library calls keep their own error
+    space = KreinSpace(8, decode_matrix(doc["J"], "J"))
+    with pytest.raises(NotKreinSelfadjoint):
+        WeightedProblem(w=decode_matrix(doc["W"], "W"),
+                        b=decode_matrix(doc["B"], "B"),
+                        c=decode_matrix(doc["C"], "C"), space=space)
+
+
+@pytest.mark.parametrize("field", ["W", "C"])
+def test_cli_operand_overflow_exit_code(tmp_path, capsys, field):
+    doc = _generated_doc(tmp_path, capsys)
+    doc[field] = [[[x * 1e308 for x in z] for z in row]
+                  for row in doc[field]]
+    path = tmp_path / "huge.json"
+    dump_json(doc, path)
+    for cmd in ("ims", "imms", "trace-min"):
+        assert main([cmd, "-i", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "OperandOverflow"
+        assert "B^#WB, B^#WC and C^#WC would overflow" in err["message"]
 
 
 def test_cli_generate_roundtrip(tmp_path, capsys):
