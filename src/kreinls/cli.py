@@ -54,7 +54,7 @@ def _cmd_schur(args):
 def _cmd_ims(args):
     data = load_problem(args.input, args.tol)
     p = data.weighted_problem()
-    sol = solve_ims(p, seed=args.seed)
+    sol = solve_ims(p)
     payload = {
         "x0": encode_matrix(sol.x0),
         "min_value": encode_matrix(sol.extremal_value),
@@ -170,13 +170,14 @@ def build_parser():
                         help="problem JSON file")
         sp.add_argument("--tol", type=float, default=None,
                         help="override the space tolerance")
-        sp.add_argument("--seed", type=int, default=0)
         if output:
             sp.add_argument("-o", "--output", default=None,
                             help="also write the result JSON here")
 
     sp = sub.add_parser("schur", help="Schur complement of W to a subspace")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the identity checks")
     sp.add_argument("--identities", action="store_true",
                     help="include the shorted-operator identity residuals")
     sp.set_defaults(fn=_cmd_schur)
@@ -200,6 +201,8 @@ def build_parser():
 
     sp = sub.add_parser("trace-min", help="trace minimization")
     add_common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed of the gradient-check directions")
     sp.add_argument("--sweep", action="store_true",
                     help="cross-check against the sweep oracle (dim <= 4)")
     sp.set_defaults(fn=_cmd_trace_min)

@@ -14,8 +14,9 @@ import numpy as np
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
 from .linalg import as_complex, crand, g_orthonormalize, opnorm, scale_of
-from .lsq import (CertificateReport, _f, _sample_directions, _saddle_sides,
-                  eval_f, eval_fj, solve_ims, solve_imms, split_b)
+from .lsq import (CertificateReport, SplitB, _f, _order_floor,
+                  _sample_directions, eval_f, eval_fj, solve_ims, solve_imms,
+                  split_b)
 from .subspaces import is_complementable
 
 
@@ -215,21 +216,26 @@ def _scalar_floor_certificate(p, j, x0, n_samples, seed, sense="min"):
         violations=int((floors < -tol).sum()), tol=tol)
 
 
-def solve_trace_min(p, j, certificate_samples=64, seed=0, rank_tol=None):
+def solve_trace_min(p, j, seed=0, rank_tol=None):
     """Minimize tr_J((BX-C)^# W (BX-C)); the minimizers are exactly the
-    indefinite minimum solutions, for every signature."""
+    indefinite minimum solutions, for every signature.
+
+    ``scalar_certificate`` is the exact order certificate of
+    ``solve_ims`` (f_J(X0 + D) - f_J(X0) = tr_J(D^# B^#WB D) >= 0 follows
+    from it); ``gradient_certificate`` is the largest |f_J'(X0)| over 8
+    directions drawn from ``seed``.  Sampled evidence is
+    ``_scalar_floor_certificate``.
+    """
     sig = as_signature(j, p.space)
-    ims = solve_ims(p, certificate_samples, seed, rank_tol)
+    ims = solve_ims(p, rank_tol)
     value = trace_objective(p, sig, ims.x0)
-    scalar = _scalar_floor_certificate(p, sig, ims.x0, certificate_samples,
-                                       seed, "min")
     rng = np.random.default_rng(seed)
     grad = 0.0
     for _ in range(8):
         y = crand(rng, p.space.dim, p.space.dim)
         grad = max(grad, abs(frechet_derivative(p, sig, ims.x0, y)))
     return TraceMinSolution(x0=ims.x0, value=value, ims=ims,
-                            scalar_certificate=scalar,
+                            scalar_certificate=ims.certificate,
                             gradient_certificate=grad)
 
 
@@ -240,11 +246,35 @@ class TraceMinMaxSolution:
     imms: "ImmsSolution"
     saddle_min_floor: float
     saddle_max_floor: float
+    split: SplitB
 
 
-def solve_trace_minmax(p, j, certificate_samples=64, seed=0, rank_tol=None):
+def _saddle_floors(p, split):
+    """Exact floors of the two saddle sides around a normal solution Z.
+
+    With R = BZ - C, B^#WR = 0 and R(B_+/-) ⊆ R(B) give, for any
+    signature's split, F_J(X, Z) - F_J(Z, Z) = D^# (B_+^#WB_+) D and
+    F_J(Z, Y) - F_J(Z, Z) = E^# (B_-^#WB_-) E.  The floors are the
+    smallest eigenvalues of herm(J_ref B_+^#WB_+) and
+    herm(-J_ref B_-^#WB_-), each relative to ||B_+/-||^2 ||W||.
+    """
+    jw = p.space.j_ref @ p.w
+    wn = opnorm(p.w)
+    # J_ref B^# W B = B* (J_ref W) B
+    plus, minus = split.b_plus, split.b_minus
+    return (_order_floor(plus.conj().T @ jw @ plus, opnorm(plus) ** 2 * wn),
+            _order_floor(-(minus.conj().T @ jw @ minus),
+                         opnorm(minus) ** 2 * wn))
+
+
+def solve_trace_minmax(p, j, rank_tol=None):
     """Solve the trace min-max problem; the value is
     tr_J(C^# W_{/[R(B)]} C) and depends on J, the solution set does not.
+
+    ``saddle_min_floor`` and ``saddle_max_floor`` are exact: the operator
+    order floors of the two saddle sides (``_saddle_floors``), under the
+    split along the signature J, which the record carries as ``split``.
+    Sampled evidence is ``verify_saddle`` and the harness's trace floors.
     """
     sig = as_signature(j, p.space)
     s = p.range_b(rank_tol)
@@ -252,16 +282,11 @@ def solve_trace_minmax(p, j, certificate_samples=64, seed=0, rank_tol=None):
         raise NotComplementable("weight is not complementable for R(B)")
     imms = solve_imms(p, rank_tol)
     value = float(np.trace(sig.entries @ imms.schur_value).real)
-
     split = split_b(p, sig, rank_tol)
-    base = trace_objective_xy(p, split, sig, imms.z, imms.z)
-    scale = max(1.0, abs(base))
-    sides = _saddle_sides(p, split, imms.z, certificate_samples, seed)
-    min_floor = ((_traces(sig, next(sides)) - base) / scale).min()
-    max_floor = ((base - _traces(sig, next(sides))) / scale).min()
+    min_floor, max_floor = _saddle_floors(p, split)
     return TraceMinMaxSolution(z=imms.z, value=value, imms=imms,
-                               saddle_min_floor=float(min_floor),
-                               saddle_max_floor=float(max_floor))
+                               saddle_min_floor=min_floor,
+                               saddle_max_floor=max_floor, split=split)
 
 
 def js2_inner(s, t, j, space):

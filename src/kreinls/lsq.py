@@ -16,8 +16,8 @@ from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
 from .errors import (InternalCertificateFailure, MinMaxUnsolvable,
                      NormalEquationUnsolvable, OperandOverflow,
                      RangeNotNonnegative, RangeNotNonpositive)
-from .linalg import (crand, fro_norm, herm, numerical_rank, opnorm, pinv,
-                     scale_of)
+from .linalg import (crand, fro_norm, herm, min_eig_herm, numerical_rank,
+                     opnorm, pinv, scale_of)
 from .schur import schur_complement
 from .subspaces import (WSplit, is_complementable, is_w_nonnegative,
                         is_w_nonpositive, range_subspace,
@@ -25,9 +25,9 @@ from .subspaces import (WSplit, is_complementable, is_w_nonnegative,
 
 
 # Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
-# product bounds every entry of B^#WB, B^#WC and C^#WC; the sampled
-# certificates evaluate F at up to about 100 dim^2 times that scale, which
-# stays below the largest double, 1.8e308, up to dim 1,000.
+# product bounds every entry of B^#WB, B^#WC and C^#WC; the harness's
+# sampled certificates evaluate F at up to about 100 dim^2 times that scale,
+# which stays below the largest double, 1.8e308, up to dim 1,000.
 OPERAND_LIMIT = 1e300
 
 
@@ -85,30 +85,34 @@ def _normal_context(p):
 def _normal_solve(p, target, rank_tol):
     """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
 
-    Returns (violation, x, resid, sc): the part of N = B^#W target
-    outside R(M) (the Douglas range test), the minimal-norm solution
-    pinv(M) N, its residual ||M x - N||, and the tolerance scale
-    max(1, ||M||, ||N||) against which callers judge both.
+    Returns (violation, x, resid, sc, m, m_scale): the part of
+    N = B^#W target outside R(M) (the Douglas range test), the
+    minimal-norm solution pinv(M) N, its residual ||M x - N||, the
+    tolerance scale max(1, ||M||, ||N||) against which callers judge both,
+    M itself and ||B||^2 ||W||, the scale M was computed at.
     """
     bw = krein_adjoint(p.b, p.space) @ p.w
     m, n = bw @ p.b, bw @ target
     u, s, vh = np.linalg.svd(m)
-    r = numerical_rank(s, p.space.dim, rank_tol, _normal_context(p))
+    m_scale = _normal_context(p)
+    r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
     coef = u[:, :r].conj().T @ n
     violation = opnorm(n - u[:, :r] @ coef)
     x = (vh[:r].conj().T / s[:r]) @ coef
-    return violation, x, opnorm(m @ x - n), max(1.0, s[0], opnorm(n))
+    return (violation, x, opnorm(m @ x - n), max(1.0, s[0], opnorm(n)), m,
+            m_scale)
 
 
 def normal_solvable(p, rank_tol=None):
     """Douglas range condition R(B^#WC) ⊆ R(B^#WB), as a predicate."""
-    violation, _, _, sc = _normal_solve(p, p.c, rank_tol)
+    violation, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol)
     return violation <= p.space.tol * sc
 
 
 def _solve_normal(p, rank_tol):
-    """solve_normal, also returning the normal residual of X0."""
-    violation, x0, resid, sc = _normal_solve(p, p.c, rank_tol)
+    """solve_normal, also returning the normal residual of X0, M = B^#WB
+    and the scale M was computed at."""
+    violation, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol)
     if violation > p.space.tol * sc:
         raise NormalEquationUnsolvable(
             f"Douglas range condition fails (residual {violation:.3e})",
@@ -116,7 +120,7 @@ def _solve_normal(p, rank_tol):
     if resid > p.space.tol * sc:
         raise InternalCertificateFailure(
             f"normal equation residual {resid:.3e} after solvable test")
-    return x0, resid
+    return x0, resid, m, m_scale
 
 
 def solve_normal(p, rank_tol=None):
@@ -136,8 +140,9 @@ def normal_residual(p, x):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Sampled operator-order certificate: the most negative normalized
-    eigenvalue seen and how many samples broke the tolerance."""
+    """Operator-order certificate: the most negative normalized eigenvalue
+    seen and how many samples broke the tolerance.  An exact certificate
+    has ``n_samples == 0`` and one violation when its floor breaks it."""
 
     n_samples: int
     min_floor: float
@@ -211,7 +216,28 @@ def _schur_value(p, s, value, rank_tol, what):
     return schur_value, sc
 
 
-def _solve_extremal(p, sense, certificate_samples, seed, rank_tol):
+def _order_floor(h, scale):
+    """Smallest eigenvalue of herm(h) relative to ``scale``; 0 at scale 0
+    (the form is then exactly zero)."""
+    return min_eig_herm(h) / scale if scale > 0 else 0.0
+
+
+def _exact_certificate(p, m, m_scale, sense):
+    """Exact order certificate at a solution X0 of the normal equation.
+
+    There F(X0 + D) - F(X0) = D^# M D with M = B^#WB for every D, so the
+    floor over all D is the smallest eigenvalue of herm(J_ref M) (of
+    -M for the maximum), relative to ||B||^2 ||W||, the scale M was
+    computed at.
+    """
+    floor = _order_floor(p.space.j_ref @ (m if sense == "min" else -m),
+                         m_scale)
+    tol = p.space.tol
+    return CertificateReport(n_samples=0, min_floor=floor,
+                             violations=int(floor < -tol), tol=tol)
+
+
+def _solve_extremal(p, sense, rank_tol):
     s = p.range_b(rank_tol)
     if sense == "min":
         if not is_w_nonnegative(p.w, s, p.space):
@@ -219,10 +245,10 @@ def _solve_extremal(p, sense, certificate_samples, seed, rank_tol):
     else:
         if not is_w_nonpositive(p.w, s, p.space):
             raise RangeNotNonpositive("R(B) is not W-nonpositive")
-    x0, resid = _solve_normal(p, rank_tol)
+    x0, resid, m, m_scale = _solve_normal(p, rank_tol)
     value = eval_f(p, x0)
     schur_value, _ = _schur_value(p, s, value, rank_tol, "extremal value")
-    cert = minimality_certificate(p, x0, certificate_samples, seed, sense)
+    cert = _exact_certificate(p, m, m_scale, sense)
     if not cert.passed:
         raise InternalCertificateFailure(
             f"{sense} certificate violated: floor {cert.min_floor:.3e}")
@@ -230,21 +256,24 @@ def _solve_extremal(p, sense, certificate_samples, seed, rank_tol):
                        normal_residual=resid, certificate=cert, sense=sense)
 
 
-def solve_ims(p, certificate_samples=64, seed=0, rank_tol=None):
+def solve_ims(p, rank_tol=None):
     """Indefinite minimum solution of BX - C = 0 with weight W.
 
     Succeeds iff R(B) is W-nonnegative and the normal equation is
     solvable; the returned record carries F(X0), the Schur-complement
-    value when the weight is complementable, and a sampled dominance
-    certificate.
+    value when the weight is complementable, and an exact dominance
+    certificate: F(X0 + D) - F(X0) = D^# (B^#WB) D, so its floor is the
+    smallest eigenvalue of herm(J_ref B^#WB) over ||B||^2 ||W||
+    (``n_samples`` 0).  Sampled evidence is ``minimality_certificate``.
     """
-    return _solve_extremal(p, "min", certificate_samples, seed, rank_tol)
+    return _solve_extremal(p, "min", rank_tol)
 
 
-def solve_ims_max(p, certificate_samples=64, seed=0, rank_tol=None):
+def solve_ims_max(p, rank_tol=None):
     """Mirror of solve_ims for the maximization problem (R(B) must be
-    W-nonpositive)."""
-    return _solve_extremal(p, "max", certificate_samples, seed, rank_tol)
+    W-nonpositive); the exact certificate's floor is that of
+    herm(-J_ref B^#WB)."""
+    return _solve_extremal(p, "max", rank_tol)
 
 
 def solve_wils_vector(p, y, rank_tol=None):
@@ -256,7 +285,7 @@ def solve_wils_vector(p, y, rank_tol=None):
     s = p.range_b(rank_tol)
     if not is_w_nonnegative(p.w, s, p.space):
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
-    violation, z, _, sc = _normal_solve(p, y[:, None], rank_tol)
+    violation, z, _, sc, _, _ = _normal_solve(p, y[:, None], rank_tol)
     if violation > p.space.tol * sc:
         raise NormalEquationUnsolvable(
             f"no weighted solution for this right-hand side "

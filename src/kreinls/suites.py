@@ -16,13 +16,16 @@ from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
 from .errors import (NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive, UnknownSuite)
 from .generate import GeneratorSpec, generate_instance
-from .jtrace import (change_of_signature, frechet_derivative, frechet_fd,
-                     js2_inner, js2_signature_identity, solve_trace_min,
-                     solve_trace_minmax, trace_j, verify_trace_laws)
+from .jtrace import (_scalar_floor_certificate, _traces, change_of_signature,
+                     frechet_derivative, frechet_fd, js2_inner,
+                     js2_signature_identity, solve_trace_min,
+                     solve_trace_minmax, trace_j, trace_objective_xy,
+                     verify_trace_laws)
 from .linalg import crand, min_eig_herm, opnorm, scale_of
-from .lsq import (WeightedProblem, eval_f, eval_fj, neutral_shift,
-                  normal_residual, normal_solvable, solve_ims, solve_ims_max,
-                  solve_imms, solve_wils_vector, split_b, verify_saddle)
+from .lsq import (WeightedProblem, _saddle_sides, eval_f, eval_fj,
+                  minimality_certificate, neutral_shift, normal_residual,
+                  normal_solvable, solve_ims, solve_ims_max, solve_imms,
+                  solve_wils_vector, split_b, verify_saddle)
 from .oracles import (minmax_order_gap, oracle_parameter_sweep,
                       oracle_projection_infimum)
 from .schur import (is_weakly_complementable, projection_infimum_check,
@@ -179,7 +182,7 @@ def _theorem_conditions(problem, rank_tol=None):
     s = problem.range_b(rank_tol)
     nonneg = is_w_nonnegative(problem.w, s, problem.space)
     try:
-        solve_ims(problem, certificate_samples=16)
+        solve_ims(problem)
         cond_i = True
     except (RangeNotNonnegative, NormalEquationUnsolvable):
         cond_i = False
@@ -205,7 +208,7 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
         regime = inst.spec.regime
         if regime == "non_complementable":
             try:
-                solve_ims(p_eye, certificate_samples=8)
+                solve_ims(p_eye)
                 report.record_bool("rejects_non_complementable", False,
                                    "accepted a non-complementable instance")
             except NormalEquationUnsolvable:
@@ -215,32 +218,31 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
                                    "wrong rejection reason")
         elif regime in ("range_nonpositive", "range_indefinite"):
             try:
-                solve_ims(inst.problem, certificate_samples=8)
+                solve_ims(inst.problem)
                 report.record_bool("rejects_wrong_sign", False,
                                    "accepted a wrong-signed range")
             except RangeNotNonnegative:
                 report.record_bool("rejects_wrong_sign", True)
 
         if regime == "range_nonpositive":
-            sol = solve_ims_max(inst.problem, certificate_samples=samples,
-                                seed=inst.spec.seed)
+            sol = solve_ims_max(inst.problem)
             report.record("max_value_identity",
                           opnorm(sol.extremal_value - sol.schur_value)
                           / scale_of(inst.problem.w, inst.problem.c),
                           IDENTITY_RTOL)
-            report.record_floor("max_order_certificate",
-                                sol.certificate.min_floor, FLOOR_TOL)
+            cert = minimality_certificate(inst.problem, sol.x0, samples,
+                                          inst.spec.seed, "max")
+            report.record_floor("max_order_certificate", cert.min_floor,
+                                FLOOR_TOL)
             try:
-                solve_ims_max(_flip_problem(inst.problem),
-                              certificate_samples=8)
+                solve_ims_max(_flip_problem(inst.problem))
                 report.record_bool("max_rejects_wrong_sign", False,
                                    "accepted a wrong-signed range")
             except RangeNotNonpositive:
                 report.record_bool("max_rejects_wrong_sign", True)
 
         if ci:
-            sol = solve_ims(inst.problem, certificate_samples=samples,
-                            seed=inst.spec.seed)
+            sol = solve_ims(inst.problem)
             report.record("min_value_identity",
                           opnorm(sol.extremal_value - sol.schur_value)
                           / scale_of(inst.problem.w, inst.problem.c),
@@ -248,8 +250,10 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
             report.record("normal_residual", sol.normal_residual,
                           space.tol * scale_of(inst.problem.w,
                                                inst.problem.b))
-            report.record_floor("min_order_certificate",
-                                sol.certificate.min_floor, FLOOR_TOL)
+            cert = minimality_certificate(inst.problem, sol.x0, samples,
+                                          inst.spec.seed)
+            report.record_floor("min_order_certificate", cert.min_floor,
+                                FLOOR_TOL)
 
             rng = np.random.default_rng(inst.spec.seed)
             y = crand(rng, space.dim)
@@ -390,6 +394,19 @@ def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
                           abs(analytic - numeric) / denom, FD_RTOL)
 
 
+def _trace_saddle_floors(p, sig, sol, n_samples, seed):
+    """Sampled trace saddle floors around a trace min-max solution:
+    tr_J(F_J(X_i, Z)) - f_J(Z, Z) and f_J(Z, Z) - tr_J(F_J(Z, Y_i)) over
+    sampled X and Y, relative to max(1, |f_J(Z, Z)|), under the solution's
+    own split along ``sig``."""
+    base = trace_objective_xy(p, sol.split, sig, sol.z, sol.z)
+    scale = max(1.0, abs(base))
+    sides = _saddle_sides(p, sol.split, sol.z, n_samples, seed)
+    min_floor = ((_traces(sig, next(sides)) - base) / scale).min()
+    max_floor = ((base - _traces(sig, next(sides))) / scale).min()
+    return float(min_floor), float(max_floor)
+
+
 def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
     regimes = ("range_nonnegative", "range_indefinite", "neutral_directions")
     for inst in _instances(report, regimes, spec, count, dim, seed,
@@ -403,12 +420,13 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
         den = max(1.0, abs(closed))
 
         if is_w_nonnegative(p.w, s, space):
-            sol = solve_trace_min(p, ref, certificate_samples=samples,
-                                  seed=inst.spec.seed)
+            sol = solve_trace_min(p, ref, seed=inst.spec.seed)
             report.record("trace_min_closed_form",
                           abs(sol.value - closed) / den, IDENTITY_RTOL)
-            report.record_floor("trace_min_certificate",
-                                sol.scalar_certificate.min_floor, FLOOR_TOL)
+            cert = _scalar_floor_certificate(p, ref, sol.x0, samples,
+                                             inst.spec.seed)
+            report.record_floor("trace_min_certificate", cert.min_floor,
+                                FLOOR_TOL)
             report.record("trace_min_gradient", sol.gradient_certificate,
                           space.tol * scale_of(p.w, p.b, p.c) * 100)
             if dim <= 4:
@@ -417,26 +435,24 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
                 report.record("trace_min_vs_sweep",
                               abs(sol.value - sweep.value) / den, SWEEP_ATOL)
 
-        sol_mm = solve_trace_minmax(p, ref, certificate_samples=samples,
-                                    seed=inst.spec.seed)
+        sol_mm = solve_trace_minmax(p, ref)
         report.record("trace_minmax_closed_form",
                       abs(sol_mm.value - closed) / den, IDENTITY_RTOL)
-        report.record_floor("trace_minmax_min_floor",
-                            sol_mm.saddle_min_floor, FLOOR_TOL)
-        report.record_floor("trace_minmax_max_floor",
-                            sol_mm.saddle_max_floor, FLOOR_TOL)
+        min_floor, max_floor = _trace_saddle_floors(p, ref, sol_mm, samples,
+                                                    inst.spec.seed)
+        report.record_floor("trace_minmax_min_floor", min_floor, FLOOR_TOL)
+        report.record_floor("trace_minmax_max_floor", max_floor, FLOOR_TOL)
         if dim <= 4:
             sweep = oracle_parameter_sweep(p, ref, sense="minmax")
             report.record("trace_minmax_vs_sweep",
                           abs(sol_mm.value - sweep.value) / den, SWEEP_ATOL)
 
         alt = random_signature_operator(space, inst.spec.seed + 5)
-        sol_alt = solve_trace_minmax(p, alt, certificate_samples=samples,
-                                     seed=inst.spec.seed)
-        report.record_floor("alt_signature_min_floor",
-                            sol_alt.saddle_min_floor, FLOOR_TOL)
-        report.record_floor("alt_signature_max_floor",
-                            sol_alt.saddle_max_floor, FLOOR_TOL)
+        sol_alt = solve_trace_minmax(p, alt)
+        min_floor, max_floor = _trace_saddle_floors(p, alt, sol_alt, samples,
+                                                    inst.spec.seed)
+        report.record_floor("alt_signature_min_floor", min_floor, FLOOR_TOL)
+        report.record_floor("alt_signature_max_floor", max_floor, FLOOR_TOL)
         chg = change_of_signature(closed_matrix, ref, alt, space)
         report.record("value_change_formula",
                       abs(sol_alt.value - chg.rhs.real)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kreinls import standard_space
+from kreinls import (GeneratorSpec, WeightedProblem, generate_instance,
+                     standard_space)
 
 
 @pytest.fixture
@@ -32,3 +33,12 @@ def random_selfadjoint(rng, space, norm=1.0):
     h = 0.5 * (m + m.conj().T)
     h *= norm / max(1e-12, np.linalg.norm(h, 2))
     return space.j_ref @ h
+
+
+def regime_problems(regime, seeds=(0, 1, 2)):
+    """Generated dim-6 problems of one regime, each also with C = I."""
+    for seed in seeds:
+        p = generate_instance(GeneratorSpec(dim=6, seed=seed,
+                                            regime=regime)).problem
+        yield p
+        yield WeightedProblem(w=p.w, b=p.b, c=np.eye(6), space=p.space)

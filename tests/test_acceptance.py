@@ -109,7 +109,7 @@ def _conditions(problem):
     s = problem.range_b()
     nonneg = is_w_nonnegative(problem.w, s, problem.space)
     try:
-        solve_ims(problem, certificate_samples=8)
+        solve_ims(problem)
         ci = True
     except (RangeNotNonnegative, NormalEquationUnsolvable):
         ci = False
@@ -132,7 +132,7 @@ def test_criterion_4_minimum_theorem_equivalence(report_line, mixed_set):
             continue
         if ci:
             solvable += 1
-            sol = solve_ims(inst.problem, certificate_samples=8)
+            sol = solve_ims(inst.problem)
             if sol.schur_value is not None:
                 gap = opnorm(sol.extremal_value - sol.schur_value)
                 worst_value = max(
@@ -153,7 +153,7 @@ def test_criterion_5_order_certificates(report_line, mixed_set):
         p, space = inst.problem, inst.space
         s = inst.subspace
         if is_w_nonnegative(p.w, s, space) and normal_solvable(p):
-            sol = solve_ims(p, certificate_samples=8)
+            sol = solve_ims(p)
             cert = minimality_certificate(p, sol.x0, n_samples=1000,
                                           seed=40_000 + idx)
             violations += cert.violations
@@ -231,12 +231,12 @@ def test_criterion_8_trace_optimization_values(report_line):
                            @ p.c)).real)
         den = max(1.0, abs(closed))
         if regime == "range_nonnegative":
-            sol = solve_trace_min(p, ref, certificate_samples=8)
+            sol = solve_trace_min(p, ref)
             worst_closed = max(worst_closed, abs(sol.value - closed) / den)
             sweep = oracle_parameter_sweep(p, ref, sense="min", mode="als")
             worst_sweep = max(worst_sweep, abs(sol.value - sweep.value) / den)
         else:
-            sol = solve_trace_minmax(p, ref, certificate_samples=8)
+            sol = solve_trace_minmax(p, ref)
             worst_closed = max(worst_closed, abs(sol.value - closed) / den)
             sweep = oracle_parameter_sweep(p, ref, sense="minmax")
             worst_sweep = max(worst_sweep, abs(sol.value - sweep.value) / den)
@@ -273,7 +273,7 @@ def test_criterion_10_negative_paths(report_line):
                             c=np.eye(inst.space.dim, dtype=complex),
                             space=inst.space)
         try:
-            solve_ims(p, certificate_samples=8)
+            solve_ims(p)
             false_accepts += 1
         except NormalEquationUnsolvable:
             pass
@@ -284,7 +284,7 @@ def test_criterion_10_negative_paths(report_line):
         inst = generate_instance(GeneratorSpec(
             dim=2 + i % 7, seed=91_000 + i, regime=regime))
         try:
-            solve_ims(inst.problem, certificate_samples=8)
+            solve_ims(inst.problem)
             false_accepts += 1
         except RangeNotNonnegative:
             pass

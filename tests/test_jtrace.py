@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import crandn, random_selfadjoint
-from kreinls import (GeneratorSpec, NotComplementable, SignatureOperator,
-                     WeightedProblem, change_of_signature,
-                     frechet_derivative, frechet_fd, generate_instance,
-                     js2_inner, js2_signature_identity,
-                     random_signature_operator, solve_trace_min,
+from conftest import crandn, random_selfadjoint, regime_problems
+from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
+                     NotComplementable, SignatureOperator, WeightedProblem,
+                     change_of_signature, frechet_derivative, frechet_fd,
+                     generate_instance, js2_inner, js2_signature_identity,
+                     krein_adjoint, random_signature_operator, solve_ims,
+                     solve_ims_max, solve_imms, solve_trace_min,
                      solve_trace_minmax, standard_space, trace_j,
-                     trace_objective, trace_objective_xy, verify_trace_laws)
-from kreinls.lsq import solve_normal, split_b
+                     trace_objective, trace_objective_xy, verify_saddle,
+                     verify_trace_laws)
+from kreinls import jtrace, lsq
+from kreinls.jtrace import _saddle_floors, _scalar_floor_certificate
+from kreinls.lsq import _fj, solve_normal, split_b
 from kreinls.linalg import opnorm
+from kreinls.suites import _trace_saddle_floors
 
 T_UPPER = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -139,9 +144,10 @@ def test_trace_objective_canonical(space2):
 def test_solve_trace_min_canonical(space2):
     p = WeightedProblem(w=np.eye(2), b=np.diag([1.0, 0.0]), c=np.eye(2),
                         space=space2)
-    sol = solve_trace_min(p, space2.j_ref, certificate_samples=300, seed=1)
+    sol = solve_trace_min(p, space2.j_ref, seed=1)
     assert sol.value == pytest.approx(-1.0, abs=1e-12)
     assert sol.scalar_certificate.passed
+    assert _scalar_floor_certificate(p, space2.j_ref, sol.x0, 300, 1).passed
     assert sol.gradient_certificate < 1e-9
     # scalar sweep over the two free parameters confirms the minimum
     grid = np.linspace(-2.0, 2.0, 41)
@@ -155,7 +161,8 @@ def test_solve_trace_min_invertible_b(space2):
     b = crandn(rng, 2, 2) + 3 * np.eye(2)
     p = WeightedProblem(w=space2.j_ref, b=b, c=crandn(rng, 2, 2),
                         space=space2)
-    sol = solve_trace_min(p, space2.j_ref, certificate_samples=100)
+    sol = solve_trace_min(p, space2.j_ref)
+    assert _scalar_floor_certificate(p, space2.j_ref, sol.x0, 100, 0).passed
     assert abs(sol.value) < 1e-9
 
 
@@ -172,14 +179,14 @@ def test_trace_min_ims_equivalence_both_directions():
     """A trace minimizer solves the normal equation, and any normal
     solution passes the sampled trace-floor certificate."""
     from kreinls import normal_residual
-    from kreinls.jtrace import _scalar_floor_certificate
 
     for seed in range(20):
         inst = generate_instance(GeneratorSpec(
             dim=2 + seed % 6, seed=800 + seed, regime="range_nonnegative"))
         p = inst.problem
         sig = SignatureOperator.reference(p.space)
-        sol = solve_trace_min(p, sig, certificate_samples=64, seed=seed)
+        sol = solve_trace_min(p, sig, seed=seed)
+        assert _scalar_floor_certificate(p, sig, sol.x0, 64, seed).passed
         assert normal_residual(p, sol.x0) \
             < 1e-9 * max(1.0, opnorm(p.w) * opnorm(p.b) ** 2)
         # a different normal solution (pinv offset by kernel freedom)
@@ -192,10 +199,13 @@ def test_solve_trace_minmax(space2):
     rng = np.random.default_rng(7)
     c = crandn(rng, 2, 2)
     p = WeightedProblem(w=space2.j_ref, b=np.eye(2), c=c, space=space2)
-    sol = solve_trace_minmax(p, space2.j_ref, certificate_samples=100)
+    sol = solve_trace_minmax(p, space2.j_ref)
     assert abs(sol.value) < 1e-10
     assert sol.saddle_min_floor >= -1e-9
     assert sol.saddle_max_floor >= -1e-9
+    floors = _trace_saddle_floors(p, SignatureOperator.reference(space2), sol,
+                                  100, 0)
+    assert min(floors) >= -1e-9
 
     with pytest.raises(NotComplementable):
         solve_trace_minmax(
@@ -210,14 +220,71 @@ def test_trace_minmax_value_depends_on_j_solution_does_not():
     p = inst.problem
     ref = SignatureOperator.reference(p.space)
     alt = random_signature_operator(p.space, 12)
-    sol_ref = solve_trace_minmax(p, ref, certificate_samples=100, seed=0)
-    sol_alt = solve_trace_minmax(p, alt, certificate_samples=100, seed=0)
+    sol_ref = solve_trace_minmax(p, ref)
+    sol_alt = solve_trace_minmax(p, alt)
+    for sig, sol in ((ref, sol_ref), (alt, sol_alt)):
+        assert min(_trace_saddle_floors(p, sig, sol, 100, 0)) >= -1e-9
     assert_allclose(sol_ref.z, sol_alt.z)
     # values tie together through the change-of-signature formula only
     value_matrix = np.asarray(sol_ref.imms.schur_value)
     chg = change_of_signature(value_matrix, ref, alt, p.space)
     assert abs(sol_alt.value - chg.rhs.real) \
         < 1e-9 * max(1.0, abs(sol_alt.value))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_exact_saddle_identities(regime):
+    """At a min-max solution Z, under the reference signature and an
+    alternate one, F_J(X, Z) - F_J(Z, Z) = D^# (B_+^#WB_+) D and
+    F_J(Z, Y) - F_J(Z, Z) = E^# (B_-^#WB_-) E; the exact floors built on
+    them pass wherever 1000 sampled saddle perturbations pass."""
+    rng = np.random.default_rng(19)
+    for seed, p in enumerate(regime_problems(regime)):
+        try:
+            z = solve_imms(p).z
+        except MinMaxUnsolvable:
+            continue
+        wn = opnorm(p.w)
+        for sig in (SignatureOperator.reference(p.space),
+                    random_signature_operator(p.space, 100 + seed)):
+            split = split_b(p, sig)
+            center = _fj(p, split, z, z)
+            ds = crandn(rng, 4, 6, 6)
+            for b, gaps in ((split.b_plus, _fj(p, split, z + ds, z)),
+                            (split.b_minus, _fj(p, split, z, z + ds))):
+                m = krein_adjoint(b, p.space) @ p.w @ b
+                for d, gap in zip(ds, gaps - center):
+                    scale = wn * (opnorm(p.b) * (opnorm(z) + opnorm(d))
+                                  + opnorm(p.c)) ** 2
+                    assert opnorm(gap - krein_adjoint(d, p.space) @ m @ d) \
+                        <= 1e-12 * scale
+            if verify_saddle(p, split, z, 1000, seed).passed:
+                assert min(_saddle_floors(p, split)) >= -p.space.tol
+
+
+def test_solvers_do_not_sample(monkeypatch):
+    """The solvers certify exactly; sampling is left to the harness."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("a solver drew samples")
+
+    for mod, name in ((lsq, "_sample_directions"),
+                      (lsq, "minimality_certificate"),
+                      (lsq, "_saddle_sides"),
+                      (jtrace, "_sample_directions"),
+                      (jtrace, "_scalar_floor_certificate")):
+        monkeypatch.setattr(mod, name, sampled)
+
+    def problem(regime):
+        return generate_instance(GeneratorSpec(dim=6, seed=3,
+                                               regime=regime)).problem
+
+    p = problem("range_nonnegative")
+    assert solve_ims(p).certificate.n_samples == 0
+    assert solve_trace_min(p, p.space.j_ref).scalar_certificate.n_samples == 0
+    assert solve_ims_max(problem("range_nonpositive")).certificate.passed
+    p = problem("range_indefinite")
+    sol = solve_trace_minmax(p, random_signature_operator(p.space, 1))
+    assert min(sol.saddle_min_floor, sol.saddle_max_floor) >= -p.space.tol
 
 
 def test_js2_examples(space2):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import crandn
-from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
+from conftest import crandn, regime_problems
+from kreinls import (REGIMES, GeneratorSpec, InternalCertificateFailure,
+                     KreinError, MinMaxUnsolvable,
                      NormalEquationUnsolvable, OperandOverflow,
                      RangeNotNonnegative,
                      RangeNotNonpositive, SignatureOperator, WeightedProblem,
@@ -18,7 +19,8 @@ from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
                      wils_objective)
 from kreinls.core import krein_sandwich
 from kreinls.linalg import min_eig_herm, opnorm
-from kreinls.lsq import OPERAND_LIMIT, _fj
+from kreinls.lsq import (OPERAND_LIMIT, _exact_certificate, _fj,
+                         _normal_solve)
 
 
 def min2x2(space2):
@@ -73,11 +75,12 @@ def test_solve_normal_examples(space2):
 
 
 def test_solve_ims_canonical(space2):
-    sol = solve_ims(min2x2(space2), certificate_samples=300, seed=2)
+    sol = solve_ims(min2x2(space2))
     assert_allclose(sol.x0, np.diag([1.0, 0.0]), atol=1e-12)
     assert_allclose(sol.extremal_value, np.diag([0.0, 1.0]), atol=1e-12)
     assert_allclose(sol.schur_value, np.diag([0.0, 1.0]), atol=1e-12)
     assert sol.certificate.passed
+    assert minimality_certificate(min2x2(space2), sol.x0, 300, 2).passed
     # independent 2-parameter sweep: J(F(X) - F(X0)) is PSD everywhere
     b = np.diag([1.0, 0.0])
     grid = np.linspace(-2.0, 2.0, 7)
@@ -103,7 +106,8 @@ def test_solve_ims_invertible_b(space2):
     b = crandn(rng, 2, 2) + 3 * np.eye(2)
     p = WeightedProblem(w=space2.j_ref, b=b, c=crandn(rng, 2, 2),
                         space=space2)                 # W = J is positive
-    sol = solve_ims(p, certificate_samples=100)
+    sol = solve_ims(p)
+    assert minimality_certificate(p, sol.x0, 100, 0).passed
     assert opnorm(sol.extremal_value) < 1e-9
     assert_allclose(sol.x0, np.linalg.solve(b, p.c), atol=1e-9)
 
@@ -111,10 +115,11 @@ def test_solve_ims_invertible_b(space2):
 def test_solve_ims_max_mirror(space2):
     p = WeightedProblem(w=np.eye(2), b=np.diag([0.0, 1.0]), c=np.eye(2),
                         space=space2)
-    sol = solve_ims_max(p, certificate_samples=300, seed=4)
+    sol = solve_ims_max(p)
     assert_allclose(sol.schur_value, np.diag([1.0, 0.0]), atol=1e-12)
     assert_allclose(sol.extremal_value, np.diag([1.0, 0.0]), atol=1e-12)
     assert sol.certificate.passed
+    assert minimality_certificate(p, sol.x0, 300, 4, "max").passed
 
     with pytest.raises(RangeNotNonpositive):
         solve_ims_max(min2x2(space2))
@@ -149,7 +154,7 @@ def test_wils_consistency_with_operator_solution():
     inst = generate_instance(GeneratorSpec(dim=5, seed=31,
                                            regime="range_nonnegative"))
     p = inst.problem
-    sol = solve_ims(p, certificate_samples=16)
+    sol = solve_ims(p)
     rng = np.random.default_rng(8)
     for _ in range(10):
         y = crandn(rng, 5)
@@ -281,7 +286,7 @@ def test_neutral_shift_characterization():
 def test_minimality_certificate_reports():
     inst = generate_instance(GeneratorSpec(dim=4, seed=280,
                                            regime="range_nonnegative"))
-    sol = solve_ims(inst.problem, certificate_samples=16)
+    sol = solve_ims(inst.problem)
     cert = minimality_certificate(inst.problem, sol.x0, n_samples=1000,
                                   seed=5)
     assert cert.passed and cert.n_samples == 1000
@@ -292,19 +297,68 @@ def test_minimality_certificate_reports():
     assert not cert_bad.passed
 
 
-def _regime_problems(regime, seeds=(0, 1, 2)):
-    """Generated dim-6 problems of one regime, each also with C = I."""
-    for seed in seeds:
-        p = generate_instance(GeneratorSpec(dim=6, seed=seed,
+def test_solve_ims_weight_scale():
+    """The exact certificate is relative to ||B||^2 ||W||, so scaling W
+    changes no decision: solve_ims accepts W * 10^k with the unit-scale
+    X0, and still refuses the W * 1e-10 copy of a wrong-signed range,
+    which the range test's absolute tolerance below unit norm lets
+    through to the certificate."""
+    def problem(regime, alpha):
+        p = generate_instance(GeneratorSpec(dim=8, seed=20190212,
                                             regime=regime)).problem
-        yield p
-        yield WeightedProblem(w=p.w, b=p.b, c=np.eye(6), space=p.space)
+        return WeightedProblem(w=alpha * p.w, b=p.b, c=p.c, space=p.space)
+
+    x0 = solve_ims(problem("range_nonnegative", 1.0)).x0
+    for k in (-8, -4, 0, 4, 8, 16, 100):
+        sol = solve_ims(problem("range_nonnegative", 10.0 ** k))
+        assert sol.certificate.passed and sol.certificate.n_samples == 0
+        assert opnorm(sol.x0 - x0) <= 1e-12 * opnorm(x0)
+    with pytest.raises(InternalCertificateFailure):
+        solve_ims(problem("range_indefinite", 1e-10))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_exact_minimality_identity(regime):
+    """At an accepted X0, F(X0 + D) - F(X0) = D^# (B^#WB) D for every D,
+    which is what the exact certificate rests on."""
+    rng = np.random.default_rng(13)
+    for p in regime_problems(regime):
+        for solve in (solve_ims, solve_ims_max):
+            try:
+                x0 = solve(p).x0
+            except (RangeNotNonnegative, RangeNotNonpositive,
+                    NormalEquationUnsolvable):
+                continue
+            m = krein_adjoint(p.b, p.space) @ p.w @ p.b
+            ds = crandn(rng, 5, 6, 6)
+            gaps = krein_sandwich(p.b @ (x0 + ds) - p.c, p.w, p.space) \
+                - eval_f(p, x0)
+            for d, gap in zip(ds, gaps):
+                scale = opnorm(p.w) * (opnorm(p.b) * (opnorm(x0) + opnorm(d))
+                                       + opnorm(p.c)) ** 2
+                assert opnorm(gap - krein_adjoint(d, p.space) @ m @ d) \
+                    <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_exact_certificate_agrees_with_sampled(regime):
+    """At every solution of the normal equation, the exact certificate
+    passes exactly when 1000 sampled perturbations find no violation,
+    for the minimum and for the maximum."""
+    for seed, p in enumerate(regime_problems(regime)):
+        if not normal_solvable(p):
+            continue
+        _, x0, _, _, m, m_scale = _normal_solve(p, p.c, None)
+        for sense in ("min", "max"):
+            exact = _exact_certificate(p, m, m_scale, sense)
+            sampled = minimality_certificate(p, x0, 1000, seed, sense)
+            assert exact.passed == sampled.passed
 
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_stacked_sandwich_matches_per_operator(regime):
     rng = np.random.default_rng(7)
-    for p in _regime_problems(regime):
+    for p in regime_problems(regime):
         split = split_b(p)
         xs, ys = crandn(rng, 5, 6, 6), crandn(rng, 5, 6, 6)
         z = crandn(rng, 6, 6)
@@ -322,7 +376,7 @@ def test_stacked_sandwich_matches_per_operator(regime):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_normal_solvable_iff_solve_normal_succeeds(regime):
-    for p in _regime_problems(regime):
+    for p in regime_problems(regime):
         try:
             solve_normal(p)
             solved = True
@@ -336,7 +390,7 @@ def test_normal_solvable_iff_solve_normal_succeeds(regime):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_wils_vector_is_operator_solution_applied(regime):
     rng = np.random.default_rng(11)
-    for p in _regime_problems(regime):
+    for p in regime_problems(regime):
         if not np.array_equal(p.c, np.eye(6)):
             continue
         y = crandn(rng, 6)

@@ -67,7 +67,7 @@ def test_als_matches_solver_min():
         inst = generate_instance(GeneratorSpec(dim=4, seed=700 + seed,
                                                regime="range_nonnegative"))
         p = inst.problem
-        sol = solve_trace_min(p, p.space.j_ref, certificate_samples=16)
+        sol = solve_trace_min(p, p.space.j_ref)
         res = oracle_parameter_sweep(p, sense="min", mode="als")
         assert res.converged
         assert abs(res.value - sol.value) <= 1e-6 * max(1.0, abs(sol.value))

@@ -107,10 +107,20 @@ def test_cli_ims_and_trace_min(tmp_path, capsys):
     x0 = np.array([[complex(re, im) for re, im in row]
                    for row in out["x0"]])
     np.testing.assert_allclose(x0, np.diag([1.0, 0.0]), atol=1e-10)
+    # the exact floor: J B^#WB = diag(1, 0) over ||B||^2 ||W|| = 1
+    assert out["certificate_floor"] == pytest.approx(0.0, abs=1e-15)
 
     assert main(["trace-min", "-i", str(path), "--sweep"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["value"] == pytest.approx(-1.0, abs=1e-10)
+    assert out["certificate_floor"] == pytest.approx(0.0, abs=1e-15)
+
+    # the solvers draw no samples, so ims and imms take no seed
+    for cmd in ("ims", "imms"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "-i", str(path), "--seed", "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()
     assert out["sweep_value"] == pytest.approx(-1.0, abs=1e-6)
 
 
