@@ -19,7 +19,8 @@ DEFAULT_TOL = 1e-10
 
 
 def _frozen(a):
-    a = np.ascontiguousarray(a)
+    """A read-only C-contiguous complex copy: never the caller's array."""
+    a = np.array(a, dtype=complex, order="C")
     a.setflags(write=False)
     return a
 
@@ -30,7 +31,8 @@ class KreinSpace:
 
     All predicate comparisons in the package are relative: a residual r
     counts as zero when r <= tol * scale with scale = max(1, operand
-    norms).  Values are immutable and safe to share across threads.
+    norms).  ``j_ref`` is stored as a read-only copy of the matrix passed
+    in, so values are immutable and safe to share across threads.
     """
 
     dim: int
@@ -81,16 +83,18 @@ def standard_space(n_plus, n_minus, tol=DEFAULT_TOL):
 
 def validate_signature(j, g_ref, tol):
     """Raise NotASignature unless ``j`` is an involution, selfadjoint and
-    positive in the inner product with Gram ``g_ref``."""
+    positive in the inner product with Gram ``g_ref``; returns g_ref J."""
     n = j.shape[0]
     sc = scale_of(j)
     if opnorm(j @ j - np.eye(n)) > tol * sc * sc:
         raise NotASignature("J^2 differs from the identity")
     gj = g_ref @ j
-    if opnorm(gj - gj.conj().T) > tol * scale_of(gj):
+    gsc = scale_of(gj)
+    if opnorm(gj - gj.conj().T) > tol * gsc:
         raise NotASignature("J is not selfadjoint for the ambient product")
-    if min_eig_herm(gj) <= tol * scale_of(gj):
+    if min_eig_herm(gj) <= tol * gsc:
         raise NotASignature("induced inner product is not positive definite")
+    return gj
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,7 @@ class SignatureOperator:
     @classmethod
     def from_matrix(cls, entries, space):
         j = space.check_operator(entries)
-        validate_signature(j, space.j_ref, space.tol)
-        g = herm(space.j_ref @ j)
+        g = herm(validate_signature(j, space.j_ref, space.tol))
         root, iroot = hpd_sqrt(g)
         return cls(entries=_frozen(j), gram=_frozen(g),
                    gram_sqrt=_frozen(root), gram_isqrt=_frozen(iroot))
@@ -146,22 +149,28 @@ def krein_gram(x, y, space):
 
 def is_krein_selfadjoint(w, space):
     """W = W^#, i.e. J_ref·W Hermitian within tolerance."""
-    w = space.check_operator(w)
-    jw = space.j_ref @ w
-    return opnorm(jw - jw.conj().T) <= space.tol * scale_of(w)
+    try:
+        require_krein_selfadjoint(w, space)
+    except NotKreinSelfadjoint:
+        return False
+    return True
 
 
 def require_krein_selfadjoint(w, space, what="weight"):
+    """(W, J_ref W, ||W||) for a W that passes is_krein_selfadjoint; the
+    check takes both the product and the norm."""
     w = space.check_operator(w)
-    if not is_krein_selfadjoint(w, space):
+    jw = space.j_ref @ w
+    norm = opnorm(w)
+    if not opnorm(jw - jw.conj().T) <= space.tol * max(1.0, norm):
         raise NotKreinSelfadjoint(f"{what} is not [.,.]-selfadjoint")
-    return w
+    return w, jw, norm
 
 
 def is_krein_positive(w, space):
     """[Wx, x] >= 0 for all x, i.e. J_ref·W positive semidefinite."""
-    w = require_krein_selfadjoint(w, space, what="operator")
-    return min_eig_herm(space.j_ref @ w) >= -space.tol * scale_of(w)
+    _, jw, norm = require_krein_selfadjoint(w, space, what="operator")
+    return min_eig_herm(jw) >= -space.tol * max(1.0, norm)
 
 
 def _krein_skew(space, seed, strength):

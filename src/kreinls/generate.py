@@ -15,9 +15,8 @@ from .core import standard_space
 from .errors import InternalCertificateFailure, UnsatisfiableSpec
 from .linalg import crand, herm, opnorm, orth_frame
 from .lsq import WeightedProblem
-from .schur import is_weakly_complementable
-from .subspaces import (Subspace, is_complementable, is_w_nonnegative,
-                        is_w_nonpositive)
+from .schur import Factorization
+from .subspaces import Subspace, is_w_nonpositive
 
 REGIMES = ("complementable", "non_complementable", "range_nonnegative",
            "range_nonpositive", "range_indefinite", "neutral_directions")
@@ -168,6 +167,7 @@ def _certify(gspec, problem, subspace, a_eigs, degenerate):
     """Check the instance really belongs to its regime; a violation here
     is a generator bug."""
     w, space = problem.w, problem.space
+    fac = Factorization(w, subspace, space, norm=problem.w_norm)
     cert = {
         "regime": gspec.regime,
         "seed": gspec.seed,
@@ -175,9 +175,9 @@ def _certify(gspec, problem, subspace, a_eigs, degenerate):
         "subspace_dim": subspace.dim,
         "a_eigenvalues": [float(x) for x in a_eigs],
         "degenerate_block": bool(degenerate),
-        "complementable": is_complementable(w, subspace, space),
-        "weakly_complementable": is_weakly_complementable(w, subspace, space),
-        "range_nonnegative": is_w_nonnegative(w, subspace, space),
+        "complementable": fac.complementable,
+        "weakly_complementable": fac.weakly_complementable,
+        "range_nonnegative": fac.nonnegative,
         "range_nonpositive": is_w_nonpositive(w, subspace, space),
     }
     expected = {

@@ -13,11 +13,11 @@ import numpy as np
 
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
-from .linalg import as_complex, crand, g_orthonormalize, opnorm, scale_of
-from .lsq import (CertificateReport, SplitB, _f, _order_floor,
-                  _sample_directions, eval_f, eval_fj, solve_ims, solve_imms,
-                  split_b)
-from .subspaces import is_complementable
+from .linalg import (as_complex, crand, g_orthonormalize, opnorm, same_bits,
+                     scale_of)
+from .lsq import (CertificateReport, SplitB, _f, _factor, _order_floor,
+                  _sample_directions, _solve_imms, _split_b, eval_f, eval_fj,
+                  solve_ims)
 
 
 def as_signature(j, space):
@@ -259,7 +259,7 @@ def _saddle_floors(p, split):
     herm(-J_ref B_-^#WB_-), each relative to ||B_+/-||^2 ||W||.
     """
     jw = p.space.j_ref @ p.w
-    wn = opnorm(p.w)
+    wn = p.w_norm
     # J_ref B^# W B = B* (J_ref W) B
     plus, minus = split.b_plus, split.b_minus
     return (_order_floor(plus.conj().T @ jw @ plus, opnorm(plus) ** 2 * wn),
@@ -276,13 +276,17 @@ def solve_trace_minmax(p, j, rank_tol=None):
     split along the signature J, which the record carries as ``split``.
     Sampled evidence is ``verify_saddle`` and the harness's trace floors.
     """
-    sig = as_signature(j, p.space)
-    s = p.range_b(rank_tol)
-    if not is_complementable(p.w, s, p.space, rank_tol):
+    # J_ref itself: the factorization's reference signature is built once
+    reference = not isinstance(j, SignatureOperator) \
+        and same_bits(as_complex(j), p.space.j_ref)
+    sig = SignatureOperator.reference(p.space) if reference \
+        else as_signature(j, p.space)
+    fac = _factor(p, rank_tol, reference=sig if reference else None)
+    if not fac.complementable:
         raise NotComplementable("weight is not complementable for R(B)")
-    imms = solve_imms(p, rank_tol)
+    imms = _solve_imms(p, rank_tol, fac)
     value = float(np.trace(sig.entries @ imms.schur_value).real)
-    split = split_b(p, sig, rank_tol)
+    split = _split_b(p, fac, sig)
     min_floor, max_floor = _saddle_floors(p, split)
     return TraceMinMaxSolution(z=imms.z, value=value, imms=imms,
                                saddle_min_floor=min_floor,

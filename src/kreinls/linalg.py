@@ -28,8 +28,9 @@ def herm(a):
 
 
 def opnorm(a):
+    """Spectral norm; an all-zero matrix needs no SVD."""
     a = np.asarray(a)
-    if a.size == 0:
+    if a.size == 0 or not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -40,6 +41,11 @@ def fro_norm(a):
     a = np.asarray(a)
     m = float(np.abs(a).max()) if a.size else 0.0
     return m * float(np.linalg.norm(a / m)) if 0.0 < m < np.inf else m
+
+
+def same_bits(a, b):
+    """Are the two arrays identical bit for bit (signed zeros included)?"""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def scale_of(*operands):
@@ -196,15 +202,6 @@ def g_orthonormalize(frame, g):
     small = frame.conj().T @ g @ frame
     ell = np.linalg.cholesky(herm(small))
     return frame @ np.linalg.inv(ell.conj().T)
-
-
-def g_orthocomplement(frame, g, dim, rank_tol=None):
-    """Frame of the g-orthogonal complement of span(frame), columns
-    orthonormalized in the g inner product."""
-    if frame.shape[1] == 0:
-        return g_orthonormalize(np.eye(dim, dtype=complex), g)
-    comp = null_frame(frame.conj().T @ g, rank_tol)
-    return g_orthonormalize(comp, g)
 
 
 def subspace_sum(*frames):

@@ -6,22 +6,20 @@ mirror), the pointwise vector variant, the two-sided range split
 B = B_+ + B_-, and the min-max solver with saddle certificates.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
+from .core import (SignatureOperator, _frozen, krein_adjoint, krein_sandwich,
                    require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, MinMaxUnsolvable,
                      NormalEquationUnsolvable, OperandOverflow,
                      RangeNotNonnegative, RangeNotNonpositive)
 from .linalg import (crand, fro_norm, herm, min_eig_herm, numerical_rank,
-                     opnorm, pinv, scale_of)
-from .schur import schur_complement
-from .subspaces import (WSplit, is_complementable, is_w_nonnegative,
-                        is_w_nonpositive, range_subspace,
-                        symmetric_projection, w_split)
+                     opnorm, pinv, same_bits)
+from .schur import Factorization
+from .subspaces import WSplit, is_w_nonpositive, range_subspace
 
 
 # Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
@@ -35,6 +33,10 @@ OPERAND_LIMIT = 1e300
 class WeightedProblem:
     """The data (W, B, C) of min/max/min-max of (BX-C)^# W (BX-C).
 
+    W, B and C are stored as read-only copies of the matrices passed in,
+    so their spectral norms ``w_norm``, ``b_norm`` and ``c_norm``, taken
+    once here, cannot go stale.
+
     Raises OperandOverflow when max(||B||, ||C||)^2 ||W|| exceeds
     ``OPERAND_LIMIT``: the normal-equation products would overflow.
     """
@@ -43,9 +45,12 @@ class WeightedProblem:
     b: np.ndarray
     c: np.ndarray
     space: "KreinSpace"
+    w_norm: float = field(init=False, repr=False, compare=False)
+    b_norm: float = field(init=False, repr=False, compare=False)
+    c_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        w, b, c = (self.space.check_operator(a)
+        w, b, c = (_frozen(self.space.check_operator(a))
                    for a in (self.w, self.b, self.c))
         n = max(fro_norm(b), fro_norm(c))
         bound = n * n * fro_norm(w)         # float ** would raise, * is inf
@@ -53,12 +58,19 @@ class WeightedProblem:
             raise OperandOverflow(
                 f"max(|B|, |C|)^2 |W| = {bound:.3e} exceeds "
                 f"{OPERAND_LIMIT:.0e}: B^#WB, B^#WC and C^#WC would overflow")
-        object.__setattr__(self, "w", require_krein_selfadjoint(w, self.space))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        _, _, w_norm = require_krein_selfadjoint(w, self.space)
+        for name, value in (("w", w), ("b", b), ("c", c), ("w_norm", w_norm),
+                            ("b_norm", opnorm(b)), ("c_norm", opnorm(c))):
+            object.__setattr__(self, name, value)
 
     def range_b(self, rank_tol=None):
         return range_subspace(self.b, rank_tol)
+
+
+def _factor(p, rank_tol, reference=None):
+    """The factorization of W relative to R(B), for one public call."""
+    return Factorization(p.w, p.range_b(rank_tol), p.space, rank_tol,
+                         norm=p.w_norm, reference=reference)
 
 
 def _f(p, x):
@@ -77,11 +89,6 @@ def normal_matrices(p):
     return bw @ p.b, bw @ p.c
 
 
-def _normal_context(p):
-    """Scale at which B^#WB is computed; anchors its rank decision."""
-    return opnorm(p.b) ** 2 * opnorm(p.w)
-
-
 def _normal_solve(p, target, rank_tol):
     """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
 
@@ -94,13 +101,14 @@ def _normal_solve(p, target, rank_tol):
     bw = krein_adjoint(p.b, p.space) @ p.w
     m, n = bw @ p.b, bw @ target
     u, s, vh = np.linalg.svd(m)
-    m_scale = _normal_context(p)
+    m_scale = p.b_norm ** 2 * p.w_norm      # anchors M's rank decision
     r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
     coef = u[:, :r].conj().T @ n
-    violation = opnorm(n - u[:, :r] @ coef)
+    nn = opnorm(n)
+    # with M = 0 no part of N is in R(M)
+    violation = opnorm(n - u[:, :r] @ coef) if r else nn
     x = (vh[:r].conj().T / s[:r]) @ coef
-    return (violation, x, opnorm(m @ x - n), max(1.0, s[0], opnorm(n)), m,
-            m_scale)
+    return (violation, x, opnorm(m @ x - n), max(1.0, s[0], nn), m, m_scale)
 
 
 def normal_solvable(p, rank_tol=None):
@@ -201,15 +209,17 @@ class ImsSolution:
     sense: str
 
 
-def _schur_value(p, s, value, rank_tol, what):
+def _schur_value(p, fac, value, what):
     """C^# W_{/[S]} C, checked against a solver's value, and the scale it
     was judged at; (None, None) when W is not complementable for S."""
-    if not is_complementable(p.w, s, p.space, rank_tol):
+    if not fac.complementable:
         return None, None
-    shorted = schur_complement(p.w, s, p.space, rank_tol=rank_tol).schur
-    schur_value = krein_sandwich(p.c, shorted, p.space)
-    gap = opnorm(value - schur_value)
-    sc = scale_of(p.w, p.c, value)
+    schur_value = krein_sandwich(p.c, fac.schur.schur, p.space)
+    diff = value - schur_value
+    vn = opnorm(value)
+    # W_{/[S]} = 0 when S is the whole space: the gap is then ||value||
+    gap = vn if same_bits(diff, value) else opnorm(diff)
+    sc = max(fac.scale, p.c_norm, vn)
     if gap > p.space.tol * sc:
         raise InternalCertificateFailure(
             f"{what} differs from Schur form by {gap:.3e}")
@@ -238,16 +248,16 @@ def _exact_certificate(p, m, m_scale, sense):
 
 
 def _solve_extremal(p, sense, rank_tol):
-    s = p.range_b(rank_tol)
+    fac = _factor(p, rank_tol)
     if sense == "min":
-        if not is_w_nonnegative(p.w, s, p.space):
+        if not fac.nonnegative:
             raise RangeNotNonnegative("R(B) is not W-nonnegative")
     else:
-        if not is_w_nonpositive(p.w, s, p.space):
+        if not is_w_nonpositive(p.w, fac.s, p.space):
             raise RangeNotNonpositive("R(B) is not W-nonpositive")
     x0, resid, m, m_scale = _solve_normal(p, rank_tol)
     value = eval_f(p, x0)
-    schur_value, _ = _schur_value(p, s, value, rank_tol, "extremal value")
+    schur_value, _ = _schur_value(p, fac, value, "extremal value")
     cert = _exact_certificate(p, m, m_scale, sense)
     if not cert.passed:
         raise InternalCertificateFailure(
@@ -282,8 +292,7 @@ def solve_wils_vector(p, y, rank_tol=None):
     Same normal equation, one right-hand side; minimal-norm z returned.
     """
     y = p.space.check_vector(y)
-    s = p.range_b(rank_tol)
-    if not is_w_nonnegative(p.w, s, p.space):
+    if not _factor(p, rank_tol).nonnegative:
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
     violation, z, _, sc, _, _ = _normal_solve(p, y[:, None], rank_tol)
     if violation > p.space.tol * sc:
@@ -323,8 +332,11 @@ def split_b(p, signature=None, rank_tol=None):
     """
     if signature is None:
         signature = SignatureOperator.reference(p.space)
-    s = p.range_b(rank_tol)
-    split = w_split(s, p.w, signature, p.space)
+    return _split_b(p, _factor(p, rank_tol), signature)
+
+
+def _split_b(p, fac, signature):
+    split = fac.split_along(signature)
     g = signature.gram
     fp, fm = split.s_plus.frame, split.s_minus.frame
     p_plus = fp @ fp.conj().T @ g
@@ -362,6 +374,12 @@ def solve_imms(p, rank_tol=None):
     complementable the value is checked against both closed forms
     C^# W_{/[R(B)]} C and C^# W (I - Q) C.
     """
+    return _solve_imms(p, rank_tol)
+
+
+def _solve_imms(p, rank_tol, fac=None):
+    """solve_imms, given the factorization of W relative to R(B) when the
+    caller has one."""
     try:
         z1 = solve_normal(p, rank_tol)
     except NormalEquationUnsolvable as exc:
@@ -372,12 +390,12 @@ def solve_imms(p, rank_tol=None):
     z = z1 + z2
     value = eval_f(p, z)
 
-    s = p.range_b(rank_tol)
-    schur_value, sc = _schur_value(p, s, value, rank_tol, "min-max value")
+    if fac is None:
+        fac = _factor(p, rank_tol)
+    schur_value, sc = _schur_value(p, fac, value, "min-max value")
     if schur_value is not None:
-        q = symmetric_projection(p.w, s, p.space, rank_tol=rank_tol)
         via_q = krein_adjoint(p.c, p.space) @ p.w \
-            @ (np.eye(p.space.dim) - q) @ p.c
+            @ (np.eye(p.space.dim) - fac.q) @ p.c
         if opnorm(value - via_q) > p.space.tol * sc:
             raise InternalCertificateFailure(
                 "min-max value disagrees with the closed forms")
@@ -393,7 +411,7 @@ def neutral_shift(p, seed, rank_tol=None):
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)
     a = herm(s.frame.conj().T @ (p.space.j_ref @ p.w) @ s.frame)
     lam, vec = np.linalg.eigh(a)
-    ztol = p.space.tol * scale_of(p.w)
+    ztol = p.space.tol * max(1.0, p.w_norm)
     kernel = vec[:, np.abs(lam) <= ztol]
     if kernel.shape[1] == 0:
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)

@@ -1,9 +1,10 @@
 """Indefinite Schur complement machinery.
 
-The block decomposition of the weight relative to a subspace, the weak
-complementability test, the Anderson-Trapp style Schur complement with its
-certificates, the three-term decomposition W = W1 + W2 - W3, and the
-report-producing identity checks.
+The factorization of a weight relative to a subspace (``Factorization``),
+the block decomposition, the weak complementability test, the
+Anderson-Trapp style Schur complement with its certificates, the
+three-term decomposition W = W1 + W2 - W3, and the report-producing
+identity checks.
 
 All alternate-signature computations run in the associated inner product
 (Gram G = J_ref * J'); the compressed blocks are Hermitian there, and the
@@ -12,6 +13,7 @@ rounding, which is exactly what the J-independence suites certify.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +21,12 @@ from .core import (SignatureOperator, krein_sandwich,
                    random_signature_operator, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
-from .linalg import (herm, herm_sign_and_root, g_orthocomplement,
-                     g_orthonormalize, min_eig_herm, opnorm, orth_frame,
-                     scale_of)
-from .subspaces import (is_complementable, is_w_nonnegative,
-                        orthogonal_companion, projection_with_kernel,
-                        symmetric_projection, w_split)
+from .linalg import (generalized_eigh, herm, herm_sign_and_root,
+                     g_orthonormalize, min_eig_herm, null_frame, opnorm,
+                     orth_frame, same_bits, scale_of, subspace_intersection,
+                     subspace_sum)
+from .subspaces import (Subspace, WSplit, _complement_within,
+                        oblique_projection, preimage, projection_with_kernel)
 
 
 @dataclass(frozen=True)
@@ -54,16 +56,7 @@ def block_decompose(w, s, signature, space, rank_tol=None):
     signature's inner product; the matrix elements of the compressed form
     are frame* (J_ref W) frame, Hermitian on the diagonal blocks.
     """
-    w = require_krein_selfadjoint(w, space)
-    g = signature.gram
-    u = g_orthonormalize(s.frame, g)
-    v = g_orthocomplement(s.frame, g, space.dim, rank_tol)
-    jw = space.j_ref @ w
-    return BlockDecomposition(
-        a=herm(u.conj().T @ jw @ u),
-        b=u.conj().T @ jw @ v,
-        c=herm(v.conj().T @ jw @ v),
-        basis_s=u, basis_sperp=v, signature=signature)
+    return Factorization(w, s, space, rank_tol).blocks_under(signature)
 
 
 def is_weakly_complementable(w, s, space, rank_tol=None):
@@ -73,18 +66,9 @@ def is_weakly_complementable(w, s, space, rank_tol=None):
     complementability test; it must (and, per the cross-check suites,
     does) agree with the dimension-count test of is_complementable.
     """
-    blocks = block_decompose(
-        w, s, SignatureOperator.reference(space), space, rank_tol)
-    return _range_inclusion_holds(blocks.a, blocks.b, w, space, rank_tol)
-
-
-def _range_inclusion_holds(a, b, w, space, rank_tol=None):
-    wn = opnorm(w)
-    if b.size == 0 or opnorm(b) <= space.tol * wn:
-        return True     # coupling block vanishes at the weight's scale
-    ra = orth_frame(a, rank_tol, context=wn)
-    resid = b - ra @ (ra.conj().T @ b)
-    return opnorm(resid) <= space.tol * opnorm(b)
+    reference = SignatureOperator.reference(space)
+    return Factorization(w, s, space, rank_tol,
+                         reference=reference).weakly_complementable
 
 
 @dataclass(frozen=True)
@@ -109,41 +93,212 @@ def schur_complement(w, s, space, signature=None, rank_tol=None):
     recomputation under alternates is how the independence suites check
     that.
     """
-    w = require_krein_selfadjoint(w, space)
-    if signature is None:
-        signature = SignatureOperator.reference(space)
-    blocks = block_decompose(w, s, signature, space, rank_tol)
-    wn = opnorm(w)
-    u, root, rootinv = herm_sign_and_root(blocks.a, rank_tol, context=wn)
-    f = rootinv @ blocks.b
-    if blocks.b.size and opnorm(blocks.b) > space.tol * wn:
-        douglas = opnorm(root @ f - blocks.b)
-        if douglas > space.tol * opnorm(blocks.b):
-            raise NotWeaklyComplementable(
-                f"R(b) not inside R(|a|^1/2): residual {douglas:.3e}")
-    core = herm(blocks.c - f.conj().T @ u @ f)
-    v = blocks.basis_sperp
-    schur = signature.entries @ (v @ core @ v.conj().T @ signature.gram)
-    result = SchurResult(
-        schur=schur, compression=w - schur,
-        reduced_solution=f, polar_isometry=u, blocks=blocks)
-    _check_schur_certificates(result, w, s, space)
-    return result
+    fac = Factorization(w, s, space, rank_tol)
+    return fac.schur if signature is None else fac.schur_under(signature)
 
 
-def _check_schur_certificates(result, w, s, space):
-    sc = scale_of(w)
-    tol = space.tol * sc
-    if s.dim and opnorm(result.schur @ s.frame) > tol:
-        raise InternalCertificateFailure("S is not inside N(W_{/[S]})")
-    companion = orthogonal_companion(s, space)
-    outside = result.schur - companion.projector() @ result.schur
-    if opnorm(outside) > tol:
-        raise InternalCertificateFailure(
-            "R(W_{/[S]}) is not inside S^[perp]")
-    j_schur = space.j_ref @ result.schur
-    if opnorm(j_schur - j_schur.conj().T) > tol:
-        raise InternalCertificateFailure("W_{/[S]} is not selfadjoint")
+class Factorization:
+    """The weight W relative to a subspace S, factored once.
+
+    Every (W, S) question of the paper comes from this one object: the
+    companion S^[perp], the preimage W^{-1}(S^[perp]) and complementability
+    (H = S + W^{-1}(S^[perp])), the blocks [[a, b], [b*, c]] and the Schur
+    complement W_{/[S]}, the W-symmetric projection Q and the split
+    S_+ [+] S_-.  Each is computed on first use, by the same operations
+    as the module-level functions that wrap it, and then kept.
+
+    A factorization lives for one public call: its caches hold dim x dim
+    arrays, so it is never stored on a longer-lived value such as a
+    ``KreinSpace`` or a ``WeightedProblem``.  W is validated here unless
+    the caller passes ``norm``, the ||W|| of an already validated W;
+    ``jw`` (J_ref W) and ``reference`` (the reference signature) fill
+    those caches when the caller already holds them.
+    """
+
+    def __init__(self, w, s, space, rank_tol=None, *, norm=None, jw=None,
+                 reference=None):
+        if norm is None:
+            w, jw, norm = require_krein_selfadjoint(w, space)
+        vars(self).update(w=w, s=s, space=space, rank_tol=rank_tol,
+                          norm=norm, scale=max(1.0, norm))
+        for name, value in (("jw", jw), ("reference", reference)):
+            if value is not None:
+                vars(self)[name] = value
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Factorization is immutable")
+
+    def on(self, s):
+        """The same weight relative to another subspace."""
+        return Factorization(self.w, s, self.space, self.rank_tol,
+                             norm=self.norm, jw=self.jw,
+                             reference=vars(self).get("reference"))
+
+    @cached_property
+    def jw(self):
+        return self.space.j_ref @ self.w
+
+    @cached_property
+    def reference(self):
+        return SignatureOperator.reference(self.space)
+
+    @cached_property
+    def _coordinate_complement(self):
+        return self.s.coordinate_complement().frame
+
+    @cached_property
+    def companion(self):
+        """S^[perp] = J_ref (S^perp)."""
+        return Subspace(self.space.j_ref @ self._coordinate_complement)
+
+    @cached_property
+    def preimage(self):
+        """W^{-1}(S^[perp])."""
+        return preimage(self.w, self.companion, self.rank_tol, self.norm)
+
+    @cached_property
+    def complementable(self):
+        """H = S + W^{-1}(S^[perp])?"""
+        total = subspace_sum(self.s.frame, self.preimage.frame)
+        return total.shape[1] == self.space.dim
+
+    @cached_property
+    def nonnegative(self):
+        """[Wx, x] >= 0 on S (compressed form PSD within tol)?"""
+        f = self.s.frame
+        return self.s.dim == 0 or min_eig_herm(f.conj().T @ self.jw @ f) \
+            >= -self.space.tol * self.scale
+
+    def blocks_under(self, signature):
+        """The blocks of the weight form relative to S in the signature's
+        inner product (see block_decompose)."""
+        g = signature.gram
+        f = self.s.frame
+        u = g_orthonormalize(f, g)
+        if f.shape[1] == 0:
+            v = g_orthonormalize(np.eye(self.space.dim, dtype=complex), g)
+        else:
+            rows = f.conj().T @ g
+            # the reference Gram of a diagonal J_ref is exactly I: then
+            # these rows are S*'s and their kernel is S's own complement
+            if self.rank_tol is None and same_bits(rows, f.conj().T):
+                v = g_orthonormalize(self._coordinate_complement, g)
+            else:
+                v = g_orthonormalize(null_frame(rows, self.rank_tol), g)
+        jw = self.jw
+        return BlockDecomposition(
+            a=herm(u.conj().T @ jw @ u), b=u.conj().T @ jw @ v,
+            c=herm(v.conj().T @ jw @ v),
+            basis_s=u, basis_sperp=v, signature=signature)
+
+    @cached_property
+    def blocks(self):
+        """The blocks relative to the reference signature."""
+        return self.blocks_under(self.reference)
+
+    @cached_property
+    def weakly_complementable(self):
+        """R(b) ⊆ R(a) for the reference blocks?"""
+        a, b = self.blocks.a, self.blocks.b
+        bn = opnorm(b)
+        if b.size == 0 or bn <= self.space.tol * self.norm:
+            return True     # coupling block vanishes at the weight's scale
+        ra = orth_frame(a, self.rank_tol, context=self.norm)
+        resid = b - ra @ (ra.conj().T @ b)
+        return opnorm(resid) <= self.space.tol * bn
+
+    @cached_property
+    def schur(self):
+        """The checked SchurResult from the reference blocks."""
+        return self.schur_under(self.reference, self.blocks)
+
+    def schur_under(self, signature, blocks=None):
+        """The checked SchurResult computed in the signature's blocks."""
+        space, s, wn = self.space, self.s, self.norm
+        if blocks is None:
+            blocks = self.blocks_under(signature)
+        u, root, rootinv = herm_sign_and_root(blocks.a, self.rank_tol,
+                                              context=wn)
+        f = rootinv @ blocks.b
+        bn = opnorm(blocks.b)
+        if blocks.b.size and bn > space.tol * wn:
+            douglas = opnorm(root @ f - blocks.b)
+            if douglas > space.tol * bn:
+                raise NotWeaklyComplementable(
+                    f"R(b) not inside R(|a|^1/2): residual {douglas:.3e}")
+        core = herm(blocks.c - f.conj().T @ u @ f)
+        v = blocks.basis_sperp
+        schur = signature.entries @ (v @ core @ v.conj().T @ signature.gram)
+
+        tol = space.tol * self.scale
+        if s.dim and opnorm(schur @ s.frame) > tol:
+            raise InternalCertificateFailure("S is not inside N(W_{/[S]})")
+        if opnorm(schur - self.companion.projector() @ schur) > tol:
+            raise InternalCertificateFailure(
+                "R(W_{/[S]}) is not inside S^[perp]")
+        j_schur = space.j_ref @ schur
+        if opnorm(j_schur - j_schur.conj().T) > tol:
+            raise InternalCertificateFailure("W_{/[S]} is not selfadjoint")
+        return SchurResult(
+            schur=schur, compression=self.w - schur,
+            reduced_solution=f, polar_isometry=u, blocks=blocks)
+
+    def projection(self, extra_kernel=None):
+        """The W-symmetric projection onto S (see symmetric_projection)."""
+        if not self.complementable:
+            raise NotComplementable(
+                "S + W^{-1}(S^[perp]) does not fill the space")
+        space, s, t = self.space, self.s.frame, self.preimage.frame
+        d = subspace_intersection(s, t, self.rank_tol)
+        if extra_kernel is not None and extra_kernel.shape[1] > 0:
+            rest = _complement_within(subspace_sum(d, extra_kernel), t)
+            kernel = subspace_sum(extra_kernel, rest)
+        else:
+            kernel = _complement_within(d, t)
+        q = oblique_projection(s, kernel)
+
+        sc = scale_of(q)
+        if opnorm(q @ q - q) > space.tol * sc * sc:
+            raise InternalCertificateFailure("projection is not idempotent")
+        sym = self.jw @ q - q.conj().T @ self.jw   # WQ = Q^#W in coordinates
+        if opnorm(sym) > space.tol * self.scale * sc:
+            raise InternalCertificateFailure(
+                "constructed projection is not W-symmetric")
+        return q
+
+    @cached_property
+    def q(self):
+        """The canonical W-symmetric projection Q onto S."""
+        return self.projection()
+
+    def split_along(self, signature):
+        """S = S_+ [+] S_- in the signature's inner product (see w_split)."""
+        u, n = self.s.frame, self.space.dim
+        if self.s.dim == 0:
+            return WSplit(Subspace.zero(n), Subspace.zero(n), signature)
+        a = herm(u.conj().T @ self.jw @ u)
+        g = herm(u.conj().T @ signature.gram @ u)
+        lam, vec = generalized_eigh(a, g)
+        plus = lam >= -self.space.tol * self.scale
+        # the eigenvectors are g-orthonormal: frames below are orthonormal
+        # in the signature's inner product
+        return WSplit(s_plus=Subspace(u @ vec[:, plus]),
+                      s_minus=Subspace(u @ vec[:, ~plus]), signature=signature)
+
+    @cached_property
+    def split(self):
+        """The split S_+ [+] S_- under the reference signature."""
+        return self.split_along(self.reference)
+
+    @cached_property
+    def plus(self):
+        """The weight relative to S_+."""
+        return self.on(self.split.s_plus)
+
+    @cached_property
+    def minus(self):
+        """The weight relative to S_-."""
+        return self.on(self.split.s_minus)
 
 
 def decompose_w1w2w3(w, s, space, rank_tol=None):
@@ -155,18 +310,24 @@ def decompose_w1w2w3(w, s, space, rank_tol=None):
     kernels are forced through the opposite part.  Every membership,
     positivity and sum invariant is checked before returning.
     """
-    w = require_krein_selfadjoint(w, space)
-    if not is_complementable(w, s, space, rank_tol):
+    return _decompose(Factorization(w, s, space, rank_tol))
+
+
+def _decompose(fac):
+    w, s, space = fac.w, fac.s, fac.space
+    if not fac.complementable:
         raise NotComplementable("weight is not complementable for S")
-    split = w_split(s, w, SignatureOperator.reference(space), space)
-    q_plus = _split_projection(w, split.s_plus, split.s_minus, space, rank_tol)
-    q_minus = _split_projection(w, split.s_minus, split.s_plus, space, rank_tol)
+    split = fac.split
+    zero = np.zeros((space.dim, space.dim), dtype=complex)
+    q_plus = fac.plus.projection(split.s_minus.frame) \
+        if split.s_plus.dim else zero
+    q_minus = fac.minus.projection(split.s_plus.frame) \
+        if split.s_minus.dim else zero
     w2 = krein_sandwich(q_plus, w, space)
     w3 = -krein_sandwich(q_minus, w, space)
-    w1 = schur_complement(w, s, space, rank_tol=rank_tol).schur
+    w1 = fac.schur.schur
 
-    sc = scale_of(w)
-    tol = space.tol * sc
+    tol = space.tol * fac.scale
     checks = {
         "sum": opnorm(w - (w1 + w2 - w3)),
         "s_in_null_w1": opnorm(w1 @ s.frame) if s.dim else 0.0,
@@ -184,13 +345,6 @@ def decompose_w1w2w3(w, s, space, rank_tol=None):
             raise InternalCertificateFailure(
                 f"three-term decomposition: {name} is not positive")
     return w1, w2, w3
-
-
-def _split_projection(w, part, opposite, space, rank_tol):
-    if part.dim == 0:
-        return np.zeros((space.dim, space.dim), dtype=complex)
-    return symmetric_projection(
-        w, part, space, extra_kernel=opposite.frame, rank_tol=rank_tol)
 
 
 @dataclass(frozen=True)
@@ -225,31 +379,28 @@ def verify_schur_identities(w, s, space, seed=0, rank_tol=None):
     """Check the iterated-shorting, three-term and projection identities
     on one complementable instance; the seed picks the alternate
     signature for the cross-check residual."""
-    w = require_krein_selfadjoint(w, space)
-    if not is_complementable(w, s, space, rank_tol):
+    fac = Factorization(w, s, space, rank_tol)
+    w = fac.w
+    if not fac.complementable:
         raise NotComplementable("weight is not complementable for S")
-    wn = max(opnorm(w), np.finfo(float).tiny)
-    schur = schur_complement(w, s, space, rank_tol=rank_tol).schur
-    split = w_split(s, w, SignatureOperator.reference(space), space)
+    wn = max(fac.norm, np.finfo(float).tiny)
+    schur = fac.schur.schur
+    split = fac.split
 
-    via_plus = schur_complement(
-        schur_complement(w, split.s_plus, space, rank_tol=rank_tol).schur,
-        split.s_minus, space, rank_tol=rank_tol).schur
-    via_minus = schur_complement(
-        schur_complement(w, split.s_minus, space, rank_tol=rank_tol).schur,
-        split.s_plus, space, rank_tol=rank_tol).schur
+    def shorted(weight, part):
+        return Factorization(weight, part, space, rank_tol,
+                             reference=fac.reference).schur.schur
 
-    w1, w2, w3 = decompose_w1w2w3(w, s, space, rank_tol)
-    w2_short = schur_complement(w2, split.s_plus, space, rank_tol=rank_tol).schur
-    w3_short = schur_complement(w3, split.s_minus, space, rank_tol=rank_tol).schur
-    three_term = w1 + w2_short - w3_short
+    via_plus = shorted(fac.plus.schur.schur, split.s_minus)
+    via_minus = shorted(fac.minus.schur.schur, split.s_plus)
 
-    q = symmetric_projection(w, s, space, rank_tol=rank_tol)
-    w_iq = w @ (np.eye(space.dim) - q)
+    w1, w2, w3 = _decompose(fac)
+    three_term = w1 + shorted(w2, split.s_plus) - shorted(w3, split.s_minus)
+
+    w_iq = w @ (np.eye(space.dim) - fac.q)
 
     alt = random_signature_operator(space, seed)
-    alt_schur = schur_complement(w, s, space, signature=alt,
-                                 rank_tol=rank_tol).schur
+    alt_schur = fac.schur_under(alt).schur
 
     return SchurIdentityReport(
         iterated_plus_minus=opnorm(schur - via_plus) / wn,
@@ -278,16 +429,16 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     """For sampled projections E with N(E) = S, certify that E^# W E
     dominates the Schur complement in the indefinite order, and that
     E0 = I - Q attains equality.  Requires S to be W-nonnegative."""
-    w = require_krein_selfadjoint(w, space)
-    if not is_w_nonnegative(w, s, space):
+    fac = Factorization(w, s, space, rank_tol)
+    w = fac.w
+    if not fac.nonnegative:
         raise RangeNotNonnegative("S is not W-nonnegative")
-    if not is_weakly_complementable(w, s, space, rank_tol):
+    if not fac.weakly_complementable:
         raise NotWeaklyComplementable("weight is not weakly complementable")
-    schur = schur_complement(w, s, space, rank_tol=rank_tol).schur
-    wn = max(opnorm(w), np.finfo(float).tiny)
+    schur = fac.schur.schur
+    wn = max(fac.norm, np.finfo(float).tiny)
 
-    q = symmetric_projection(w, s, space, rank_tol=rank_tol)
-    e0 = np.eye(space.dim) - q
+    e0 = np.eye(space.dim) - fac.q
     eq_resid = opnorm(krein_sandwich(e0, w, space) - schur) / wn
 
     if s.dim >= space.dim:
@@ -302,7 +453,8 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     count = 0
     for e in samples:
         gap = krein_sandwich(e, w, space) - schur
-        floor = min_eig_herm(space.j_ref @ gap) / scale_of(gap, w)
+        floor = min_eig_herm(space.j_ref @ gap) / max(scale_of(gap),
+                                                      fac.scale)
         min_floor = min(min_floor, floor)
         if floor < -space.tol:
             violations += 1

@@ -5,31 +5,29 @@ Frames are dim x k matrices with orthonormal columns in the coordinate
 inner product; k = 0 (empty frame) is a valid subspace.  Splits under an
 alternate signature J' are orthonormal in the associated inner product
 with Gram G = J_ref * J'; for the reference signature this is the plain
-coordinate construction.
+coordinate construction.  The functions of a weight W and a subspace S
+are thin wrappers over ``schur.Factorization``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignatureOperator, require_krein_selfadjoint
-from .errors import (DimensionMismatch, InternalCertificateFailure,
-                     NotComplementable)
-from .linalg import (as_complex, crand, generalized_eigh, herm, min_eig_herm,
-                     null_frame, opnorm, orth_frame, scale_of,
-                     subspace_intersection, subspace_sum)
+from .core import SignatureOperator, _frozen
+from .errors import DimensionMismatch
+from .linalg import (as_complex, crand, min_eig_herm, null_frame, opnorm,
+                     orth_frame, scale_of)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A closed subspace given by an orthonormal column frame."""
+    """A closed subspace given by an orthonormal column frame, stored as
+    a read-only copy of the matrix passed in."""
 
     frame: np.ndarray
 
     def __post_init__(self):
-        f = np.ascontiguousarray(as_complex(self.frame))
-        f.setflags(write=False)
-        object.__setattr__(self, "frame", f)
+        object.__setattr__(self, "frame", _frozen(self.frame))
 
     @classmethod
     def from_span(cls, a, rank_tol=None):
@@ -82,16 +80,18 @@ def orthogonal_companion(s, space):
     return Subspace(space.j_ref @ comp.frame)
 
 
-def preimage(a, t, rank_tol=None):
+def preimage(a, t, rank_tol=None, norm=None):
     """A^{-1}(T): the maximal subspace mapped into T by ``a``.
 
-    The kernel rank decision is anchored to the norm of ``a`` so a
-    residual map that is pure rounding noise counts as zero.
+    The kernel rank decision is anchored to the norm of ``a`` (``norm``,
+    when the caller has it) so a residual map that is pure rounding noise
+    counts as zero.
     """
     a = as_complex(a)
     n = a.shape[0]
     residual_map = (np.eye(n) - t.projector()) @ a
-    return Subspace(null_frame(residual_map, rank_tol, context=opnorm(a)))
+    return Subspace(null_frame(residual_map, rank_tol,
+                               context=opnorm(a) if norm is None else norm))
 
 
 @dataclass(frozen=True)
@@ -127,40 +127,20 @@ def w_split(s, w, signature, space):
     reference signature this is eigh of U* J_ref W U).  Zero eigenvalues go
     to the nonnegative side.
     """
-    w = require_krein_selfadjoint(w, space)
-    u = s.frame
-    k = s.dim
-    if k == 0:
-        return WSplit(Subspace.zero(space.dim), Subspace.zero(space.dim),
-                      signature)
-    a = herm(u.conj().T @ (space.j_ref @ w) @ u)
-    g = herm(u.conj().T @ signature.gram @ u)
-    lam, vec = generalized_eigh(a, g)
-    ztol = space.tol * scale_of(w)
-    plus = lam >= -ztol
-    # the eigenvectors are g-orthonormal: frames below are orthonormal in
-    # the signature's inner product
-    return WSplit(
-        s_plus=Subspace(np.ascontiguousarray(u @ vec[:, plus])),
-        s_minus=Subspace(np.ascontiguousarray(u @ vec[:, ~plus])),
-        signature=signature)
+    from .schur import Factorization
+    return Factorization(w, s, space).split_along(signature)
 
 
 def is_complementable(w, s, space, rank_tol=None):
     """H = S + W^{-1}(S^[perp])?"""
-    w = require_krein_selfadjoint(w, space)
-    t = preimage(w, orthogonal_companion(s, space), rank_tol)
-    total = subspace_sum(s.frame, t.frame)
-    return total.shape[1] == space.dim
+    from .schur import Factorization
+    return Factorization(w, s, space, rank_tol).complementable
 
 
 def is_w_nonnegative(w, s, space):
     """[Wx, x] >= 0 on the subspace (compressed form PSD within tol)."""
-    w = require_krein_selfadjoint(w, space)
-    if s.dim == 0:
-        return True
-    m = s.frame.conj().T @ (space.j_ref @ w) @ s.frame
-    return min_eig_herm(m) >= -space.tol * scale_of(w)
+    from .schur import Factorization
+    return Factorization(w, s, space).nonnegative
 
 
 def is_w_nonpositive(w, s, space):
@@ -197,29 +177,8 @@ def symmetric_projection(w, s, space, extra_kernel=None, rank_tol=None):
     inside the preimage and be independent of S); this is what the
     three-term weight decomposition needs.
     """
-    w = require_krein_selfadjoint(w, space)
-    t = preimage(w, orthogonal_companion(s, space), rank_tol)
-    if subspace_sum(s.frame, t.frame).shape[1] < space.dim:
-        raise NotComplementable(
-            "S + W^{-1}(S^[perp]) does not fill the space")
-    d = subspace_intersection(s.frame, t.frame, rank_tol)
-    if extra_kernel is not None and extra_kernel.shape[1] > 0:
-        rest = _complement_within(
-            subspace_sum(d, extra_kernel), t.frame)
-        kernel = subspace_sum(extra_kernel, rest)
-    else:
-        kernel = _complement_within(d, t.frame)
-    q = oblique_projection(s.frame, kernel)
-
-    sc = scale_of(q)
-    if opnorm(q @ q - q) > space.tol * sc * sc:
-        raise InternalCertificateFailure("projection is not idempotent")
-    jw = space.j_ref @ w
-    sym = jw @ q - q.conj().T @ jw      # WQ = Q^#W in coordinate form
-    if opnorm(sym) > space.tol * scale_of(w) * sc:
-        raise InternalCertificateFailure(
-            "constructed projection is not W-symmetric")
-    return q
+    from .schur import Factorization
+    return Factorization(w, s, space, rank_tol).projection(extra_kernel)
 
 
 def projection_with_kernel(s, seed, mix_strength=1.5):

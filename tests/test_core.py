@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from conftest import crandn, random_selfadjoint
 from kreinls import (DimensionMismatch, KreinSpace, NotASignature,
-                     NotKreinSelfadjoint, SignatureOperator,
-                     is_krein_positive, is_krein_selfadjoint, krein_adjoint,
+                     NotKreinSelfadjoint, SignatureOperator, Subspace,
+                     WeightedProblem, is_krein_positive, is_krein_selfadjoint, krein_adjoint,
                      krein_gram, random_signature_operator, standard_space)
 
 
@@ -157,3 +157,36 @@ def test_signature_rejects_non_positive(space2):
     with pytest.raises(NotASignature):
         SignatureOperator.from_matrix(np.array([[0.5, 0.0], [0.0, 2.0]]),
                                       space2)
+
+
+def test_constructors_copy_inputs_read_only():
+    """KreinSpace, SignatureOperator, Subspace and WeightedProblem keep
+    read-only C-contiguous copies: the caller's arrays stay writeable,
+    and editing them later changes neither the stored value nor a
+    cached norm."""
+    j = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
+    space = KreinSpace(4, j)
+    sig = SignatureOperator.from_matrix(j, space)
+    frame = np.eye(4, dtype=complex)[:, :2]
+    s = Subspace(np.ascontiguousarray(frame))
+    rng = np.random.default_rng(3)
+    w = random_selfadjoint(rng, space)
+    b = crandn(rng, 4, 4)
+    c = np.asfortranarray(crandn(rng, 4, 4))
+    p = WeightedProblem(w=w, b=b, c=c, space=space)
+    stored = [(j, space.j_ref), (j, sig.entries), (w, p.w), (b, p.b),
+              (c, p.c)]
+    for given, kept in stored + [(s.frame, s.frame)]:
+        assert not kept.flags.writeable and kept.flags.c_contiguous
+    for given, kept in stored:
+        assert given.flags.writeable and not np.shares_memory(given, kept)
+
+    w_norm, b_norm, c_norm = p.w_norm, p.b_norm, p.c_norm
+    assert (w_norm, b_norm, c_norm) == (np.linalg.norm(w, 2),
+                                        np.linalg.norm(b, 2),
+                                        np.linalg.norm(c, 2))
+    for given in (j, w, b, c):
+        given *= 2.0
+    assert_allclose(space.j_ref, j / 2.0)
+    assert_allclose(p.w, w / 2.0)
+    assert (p.w_norm, p.b_norm, p.c_norm) == (w_norm, b_norm, c_norm)

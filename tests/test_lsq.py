@@ -317,6 +317,23 @@ def test_solve_ims_weight_scale():
         solve_ims(problem("range_indefinite", 1e-10))
 
 
+@pytest.mark.parametrize("alpha", [
+    1.0, 1e-8,
+    pytest.param(1e-10, marks=pytest.mark.xfail(strict=True, reason=(
+        "known bug, ROADMAP item 3: the range test's max(1, ||W||) scale "
+        "is absolute below unit norm, so a wrong-signed range passes"))),
+])
+def test_wils_rejects_indefinite_range_at_any_weight_scale(alpha):
+    """solve_wils_vector must refuse a range that is not W-nonnegative,
+    whatever the units of W: the dim-8 range_indefinite instance of seed
+    20190212 with W * alpha."""
+    p = generate_instance(GeneratorSpec(dim=8, seed=20190212,
+                                        regime="range_indefinite")).problem
+    scaled = WeightedProblem(w=alpha * p.w, b=p.b, c=p.c, space=p.space)
+    with pytest.raises(RangeNotNonnegative):
+        solve_wils_vector(scaled, np.ones(8))
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 def test_exact_minimality_identity(regime):
     """At an accepted X0, F(X0 + D) - F(X0) = D^# (B^#WB) D for every D,
