@@ -111,14 +111,23 @@ class SignatureOperator:
     @classmethod
     def from_matrix(cls, entries, space):
         j = space.check_operator(entries)
-        g = herm(validate_signature(j, space.j_ref, space.tol))
-        root, iroot = hpd_sqrt(g)
-        return cls(entries=_frozen(j), gram=_frozen(g),
-                   gram_sqrt=_frozen(root), gram_isqrt=_frozen(iroot))
+        return cls._with_gram(j, validate_signature(j, space.j_ref,
+                                                    space.tol))
 
     @classmethod
     def reference(cls, space):
-        return cls.from_matrix(space.j_ref, space)
+        """J_ref itself.  ``KreinSpace`` has certified it a Hermitian
+        involution, so its Gram J_ref J_ref is positive definite and is
+        not validated again."""
+        return cls._with_gram(space.j_ref, space.j_ref @ space.j_ref)
+
+    @classmethod
+    def _with_gram(cls, j, gj):
+        """The operator J with Gram herm(gj) = J_ref J and its roots."""
+        g = herm(gj)
+        root, iroot = hpd_sqrt(g)
+        return cls(entries=_frozen(j), gram=_frozen(g),
+                   gram_sqrt=_frozen(root), gram_isqrt=_frozen(iroot))
 
 
 def krein_adjoint(a, space):

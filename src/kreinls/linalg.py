@@ -23,8 +23,8 @@ def crand(rng, *shape):
 
 
 def herm(a):
-    """Hermitian part (A + A*)/2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A*)/2 of a matrix or of each in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def opnorm(a):
@@ -97,7 +97,8 @@ def null_frame(a, rank_tol=None, context=0.0):
     n = a.shape[1]
     if a.shape[0] == 0 or not a.any():
         return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    # a tall input's reduced SVD already holds the whole n x n Vh
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     r = numerical_rank(s, max(a.shape), rank_tol, context)
     return np.ascontiguousarray(vh[r:].conj().T)
 

@@ -176,9 +176,7 @@ def _sample_directions(space, anchor, n_samples, seed):
 def _order_floors(space, diffs):
     """Normalized smallest eigenvalues of J_ref * diff for a stack of
     differences that should be positive in the indefinite order."""
-    h = space.j_ref @ diffs
-    h = 0.5 * (h + h.conj().transpose(0, 2, 1))
-    eigs = np.linalg.eigvalsh(h)
+    eigs = np.linalg.eigvalsh(herm(space.j_ref @ diffs))
     scales = np.maximum(1.0, np.abs(eigs).max(axis=1))
     return eigs.min(axis=1) / scales
 

@@ -7,6 +7,7 @@ squares sweeps (cyclic exact column updates) for the trace objectives.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
 from .linalg import pinv
 from .lsq import split_b
-from .subspaces import (is_w_nonnegative, projection_with_kernel,
+from .subspaces import (_projection_stacks, is_w_nonnegative,
                         symmetric_projection)
 
 
@@ -35,27 +36,23 @@ def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
     E0 = I - Q, which attains the infimum exactly."""
     if not is_w_nonnegative(w, s, space):
         raise RangeNotNonnegative("S is not W-nonnegative")
-    samples = []
+    stacks = _projection_stacks(s, n, seed)
     if include_canonical:
         q = symmetric_projection(w, s, space)
-        samples.append(np.eye(space.dim) - q)
-    if s.dim >= space.dim:
-        samples.append(np.zeros((space.dim, space.dim), dtype=complex))
-    else:
-        seeds = np.random.default_rng(seed).integers(0, 2**63, size=n)
-        samples.extend(projection_with_kernel(s, int(sd)) for sd in seeds)
+        stacks = chain([(np.eye(space.dim) - q)[None]], stacks)
 
-    best = None
-    best_trace = np.inf
-    history = []
-    for e in samples:
-        cand = krein_sandwich(e, w, space)
-        tr = float(np.trace(space.j_ref @ cand).real)
-        if tr < best_trace:
-            best_trace, best = tr, cand
-        history.append(best_trace)
-    return InfimumOracleResult(envelope=best, trace_history=history,
-                               n_samples=len(samples))
+    best, best_trace = None, np.inf
+    traces = [np.empty(0)]      # n = 0 draws no stack
+    for es in stacks:
+        cands = krein_sandwich(es, w, space)
+        tr = np.trace(space.j_ref @ cands, axis1=1, axis2=2).real
+        i = int(np.argmin(tr))          # the first minimizer, as in a scan
+        if tr[i] < best_trace:
+            best_trace, best = tr[i], cands[i].copy()
+        traces.append(tr)
+    history = np.minimum.accumulate(np.concatenate(traces))
+    return InfimumOracleResult(envelope=best, trace_history=history.tolist(),
+                               n_samples=len(history))
 
 
 @dataclass(frozen=True)

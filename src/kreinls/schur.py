@@ -26,7 +26,7 @@ from .linalg import (generalized_eigh, herm, herm_sign_and_root,
                      orth_frame, same_bits, scale_of, subspace_intersection,
                      subspace_sum)
 from .subspaces import (Subspace, WSplit, _complement_within,
-                        oblique_projection, preimage, projection_with_kernel)
+                        _projection_stacks, oblique_projection, preimage)
 
 
 @dataclass(frozen=True)
@@ -441,24 +441,15 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     e0 = np.eye(space.dim) - fac.q
     eq_resid = opnorm(krein_sandwich(e0, w, space) - schur) / wn
 
-    if s.dim >= space.dim:
-        # E = 0 is the whole family when S is everything
-        samples = [np.zeros((space.dim, space.dim), dtype=complex)]
-    else:
-        seeds = np.random.default_rng(seed).integers(0, 2**63,
-                                                     size=n_samples)
-        samples = (projection_with_kernel(s, int(sd)) for sd in seeds)
-    min_floor = np.inf
-    violations = 0
-    count = 0
-    for e in samples:
-        gap = krein_sandwich(e, w, space) - schur
-        floor = min_eig_herm(space.j_ref @ gap) / max(scale_of(gap),
-                                                      fac.scale)
-        min_floor = min(min_floor, floor)
-        if floor < -space.tol:
-            violations += 1
-        count += 1
+    floors = [np.empty(0)]      # n_samples = 0 draws no stack
+    for es in _projection_stacks(s, n_samples, seed):
+        gaps = krein_sandwich(es, w, space) - schur
+        # fac.scale >= 1, so the denominator is max(scale_of(gap), fac.scale)
+        floors.append(np.linalg.eigvalsh(herm(space.j_ref @ gaps)).min(axis=1)
+                      / np.maximum(np.linalg.norm(gaps, 2, axis=(1, 2)),
+                                   fac.scale))
+    floors = np.concatenate(floors)
     return ProjectionInfimumReport(
-        n_samples=count, min_floor=float(min_floor),
-        equality_residual=eq_resid, violations=violations)
+        n_samples=len(floors), min_floor=float(floors.min(initial=np.inf)),
+        equality_residual=eq_resid,
+        violations=int((floors < -space.tol).sum()))
