@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotASignature, NotKreinSelfadjoint
 from .linalg import (as_complex, crand, expm, herm, hpd_sqrt, min_eig_herm,
-                     opnorm, scale_of)
+                     opnorm)
 
 DEFAULT_TOL = 1e-10
 
@@ -29,10 +29,9 @@ def _frozen(a):
 class KreinSpace:
     """Coordinate Krein space: dimension, reference signature, tolerance.
 
-    All predicate comparisons in the package are relative: a residual r
-    counts as zero when r <= tol * scale with scale = max(1, operand
-    norms).  ``j_ref`` is stored as a read-only copy of the matrix passed
-    in, so values are immutable and safe to share across threads.
+    A residual r counts as zero when r <= tol times the norms of the
+    operands it was computed from, with no floor: no decision depends on
+    their units.  ``j_ref`` is a read-only copy, safe to share.
     """
 
     dim: int
@@ -46,7 +45,7 @@ class KreinSpace:
         if j.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"j_ref shape {j.shape} does not match dim {self.dim}")
-        sc = scale_of(j)
+        sc = opnorm(j)
         if opnorm(j - j.conj().T) > self.tol * sc:
             raise NotASignature("reference signature is not Hermitian")
         if opnorm(j @ j - np.eye(self.dim)) > self.tol * sc * sc:
@@ -85,11 +84,11 @@ def validate_signature(j, g_ref, tol):
     """Raise NotASignature unless ``j`` is an involution, selfadjoint and
     positive in the inner product with Gram ``g_ref``; returns g_ref J."""
     n = j.shape[0]
-    sc = scale_of(j)
+    sc = opnorm(j)
     if opnorm(j @ j - np.eye(n)) > tol * sc * sc:
         raise NotASignature("J^2 differs from the identity")
     gj = g_ref @ j
-    gsc = scale_of(gj)
+    gsc = opnorm(gj)
     if opnorm(gj - gj.conj().T) > tol * gsc:
         raise NotASignature("J is not selfadjoint for the ambient product")
     if min_eig_herm(gj) <= tol * gsc:
@@ -165,13 +164,13 @@ def is_krein_selfadjoint(w, space):
     return True
 
 
-def require_krein_selfadjoint(w, space, what="weight"):
-    """(W, J_ref W, ||W||) for a W that passes is_krein_selfadjoint; the
-    check takes both the product and the norm."""
+def require_krein_selfadjoint(w, space, what="weight", norm=None):
+    """(W, J_ref W, norm) for a W that passes is_krein_selfadjoint at
+    ``norm``, by default ||W|| (the check takes the product and it)."""
     w = space.check_operator(w)
     jw = space.j_ref @ w
-    norm = opnorm(w)
-    if not opnorm(jw - jw.conj().T) <= space.tol * max(1.0, norm):
+    norm = opnorm(w) if norm is None else norm
+    if not opnorm(jw - jw.conj().T) <= space.tol * norm:
         raise NotKreinSelfadjoint(f"{what} is not [.,.]-selfadjoint")
     return w, jw, norm
 
@@ -179,7 +178,7 @@ def require_krein_selfadjoint(w, space, what="weight"):
 def is_krein_positive(w, space):
     """[Wx, x] >= 0 for all x, i.e. J_ref·W positive semidefinite."""
     _, jw, norm = require_krein_selfadjoint(w, space, what="operator")
-    return min_eig_herm(jw) >= -space.tol * max(1.0, norm)
+    return min_eig_herm(jw) >= -space.tol * norm
 
 
 def _krein_skew(space, seed, strength):

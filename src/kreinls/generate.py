@@ -16,7 +16,7 @@ from .errors import InternalCertificateFailure, UnsatisfiableSpec
 from .linalg import crand, herm, opnorm, orth_frame
 from .lsq import WeightedProblem
 from .schur import Factorization
-from .subspaces import Subspace, is_w_nonpositive
+from .subspaces import Subspace
 
 REGIMES = ("complementable", "non_complementable", "range_nonnegative",
            "range_nonpositive", "range_indefinite", "neutral_directions")
@@ -178,7 +178,7 @@ def _certify(gspec, problem, subspace, a_eigs, degenerate):
         "complementable": fac.complementable,
         "weakly_complementable": fac.weakly_complementable,
         "range_nonnegative": fac.nonnegative,
-        "range_nonpositive": is_w_nonpositive(w, subspace, space),
+        "range_nonpositive": fac.nonpositive,
     }
     expected = {
         "complementable": cert["complementable"],

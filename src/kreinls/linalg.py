@@ -49,7 +49,7 @@ def same_bits(a, b):
 
 
 def scale_of(*operands):
-    """Tolerance scale: max(1, operator norms of the operands)."""
+    """Harness report normalizer max(1, operand norms); not a decision rule."""
     return max(1.0, *(opnorm(a) for a in operands)) if operands else 1.0
 
 
@@ -219,10 +219,10 @@ def subspace_intersection(fa, fb, rank_tol=None):
     dim = fa.shape[0]
     if fa.shape[1] == 0 or fb.shape[1] == 0:
         return np.zeros((dim, 0), dtype=complex)
-    # x in both spans  <=>  x ⟂ both orthocomplements
+    # x in both spans  <=>  x ⟂ both orthocomplements (norms <= 1)
     pa = np.eye(dim) - fa @ fa.conj().T
     pb = np.eye(dim) - fb @ fb.conj().T
-    return null_frame(np.vstack([pa, pb]), rank_tol)
+    return null_frame(np.vstack([pa, pb]), rank_tol, context=1.0)
 
 
 def min_eig_herm(a):

@@ -13,13 +13,14 @@ import numpy as np
 
 from .core import (SignatureOperator, _frozen, krein_adjoint, krein_sandwich,
                    require_krein_selfadjoint)
-from .errors import (InternalCertificateFailure, MinMaxUnsolvable,
-                     NormalEquationUnsolvable, OperandOverflow,
-                     RangeNotNonnegative, RangeNotNonpositive)
+from .errors import (InternalCertificateFailure, MalformedInput,
+                     MinMaxUnsolvable, NormalEquationUnsolvable,
+                     OperandOverflow, RangeNotNonnegative,
+                     RangeNotNonpositive)
 from .linalg import (crand, fro_norm, herm, min_eig_herm, numerical_rank,
-                     opnorm, pinv, same_bits)
+                     opnorm, pinv)
 from .schur import Factorization
-from .subspaces import WSplit, is_w_nonpositive, range_subspace
+from .subspaces import WSplit, range_subspace
 
 
 # Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
@@ -37,7 +38,8 @@ class WeightedProblem:
     so their spectral norms ``w_norm``, ``b_norm`` and ``c_norm``, taken
     once here, cannot go stale.
 
-    Raises OperandOverflow when max(||B||, ||C||)^2 ||W|| exceeds
+    Raises MalformedInput naming a non-finite operand, and
+    OperandOverflow when max(||B||, ||C||)^2 ||W|| exceeds
     ``OPERAND_LIMIT``: the normal-equation products would overflow.
     """
 
@@ -52,6 +54,9 @@ class WeightedProblem:
     def __post_init__(self):
         w, b, c = (_frozen(self.space.check_operator(a))
                    for a in (self.w, self.b, self.c))
+        for name, a in (("W", w), ("B", b), ("C", c)):
+            if not np.isfinite(a).all():
+                raise MalformedInput(f"{name}: entries are not finite")
         n = max(fro_norm(b), fro_norm(c))
         bound = n * n * fro_norm(w)         # float ** would raise, * is inf
         if not bound <= OPERAND_LIMIT:
@@ -83,44 +88,38 @@ def eval_f(p, x):
     return _f(p, p.space.check_operator(x))
 
 
-def normal_matrices(p):
-    """(B^# W B, B^# W C): the operator normal equation is M X = N."""
-    bw = krein_adjoint(p.b, p.space) @ p.w
-    return bw @ p.b, bw @ p.c
-
-
-def _normal_solve(p, target, rank_tol):
+def _normal_solve(p, target, rank_tol, target_norm=None):
     """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
 
     Returns (violation, x, resid, sc, m, m_scale): the part of
     N = B^#W target outside R(M) (the Douglas range test), the
-    minimal-norm solution pinv(M) N, its residual ||M x - N||, the
-    tolerance scale max(1, ||M||, ||N||) against which callers judge both,
-    M itself and ||B||^2 ||W||, the scale M was computed at.
+    minimal-norm solution pinv(M) N, its residual ||M x - N||, the scale
+    ||B|| ||W|| ||target|| N was computed at, which callers judge both
+    against, M itself and ||B||^2 ||W||, the scale M was computed at.
     """
+    tn = opnorm(target) if target_norm is None else target_norm
     bw = krein_adjoint(p.b, p.space) @ p.w
     m, n = bw @ p.b, bw @ target
     u, s, vh = np.linalg.svd(m)
     m_scale = p.b_norm ** 2 * p.w_norm      # anchors M's rank decision
     r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
     coef = u[:, :r].conj().T @ n
-    nn = opnorm(n)
-    # with M = 0 no part of N is in R(M)
-    violation = opnorm(n - u[:, :r] @ coef) if r else nn
     x = (vh[:r].conj().T / s[:r]) @ coef
-    return (violation, x, opnorm(m @ x - n), max(1.0, s[0], nn), m, m_scale)
+    return (opnorm(n - u[:, :r] @ coef), x, opnorm(m @ x - n),
+            p.b_norm * p.w_norm * tn, m, m_scale)
 
 
 def normal_solvable(p, rank_tol=None):
     """Douglas range condition R(B^#WC) ⊆ R(B^#WB), as a predicate."""
-    violation, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol)
+    violation, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol, p.c_norm)
     return violation <= p.space.tol * sc
 
 
 def _solve_normal(p, rank_tol):
     """solve_normal, also returning the normal residual of X0, M = B^#WB
     and the scale M was computed at."""
-    violation, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol)
+    violation, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol,
+                                                         p.c_norm)
     if violation > p.space.tol * sc:
         raise NormalEquationUnsolvable(
             f"Douglas range condition fails (residual {violation:.3e})",
@@ -142,8 +141,8 @@ def solve_normal(p, rank_tol=None):
 
 def normal_residual(p, x):
     """|| B^# W (BX - C) ||."""
-    m, n = normal_matrices(p)
-    return opnorm(m @ p.space.check_operator(x) - n)
+    bw = krein_adjoint(p.b, p.space) @ p.w
+    return opnorm(bw @ p.b @ p.space.check_operator(x) - bw @ p.c)
 
 
 @dataclass(frozen=True)
@@ -208,16 +207,13 @@ class ImsSolution:
 
 
 def _schur_value(p, fac, value, what):
-    """C^# W_{/[S]} C, checked against a solver's value, and the scale it
-    was judged at; (None, None) when W is not complementable for S."""
+    """C^# W_{/[S]} C, checked against a solver's value at the scale
+    ||W|| ||C||^2; (None, None) when W is not complementable for S."""
     if not fac.complementable:
         return None, None
     schur_value = krein_sandwich(p.c, fac.schur.schur, p.space)
-    diff = value - schur_value
-    vn = opnorm(value)
-    # W_{/[S]} = 0 when S is the whole space: the gap is then ||value||
-    gap = vn if same_bits(diff, value) else opnorm(diff)
-    sc = max(fac.scale, p.c_norm, vn)
+    gap = opnorm(value - schur_value)
+    sc = p.w_norm * p.c_norm ** 2
     if gap > p.space.tol * sc:
         raise InternalCertificateFailure(
             f"{what} differs from Schur form by {gap:.3e}")
@@ -247,12 +243,10 @@ def _exact_certificate(p, m, m_scale, sense):
 
 def _solve_extremal(p, sense, rank_tol):
     fac = _factor(p, rank_tol)
-    if sense == "min":
-        if not fac.nonnegative:
-            raise RangeNotNonnegative("R(B) is not W-nonnegative")
-    else:
-        if not is_w_nonpositive(p.w, fac.s, p.space):
-            raise RangeNotNonpositive("R(B) is not W-nonpositive")
+    if sense == "min" and not fac.nonnegative:
+        raise RangeNotNonnegative("R(B) is not W-nonnegative")
+    if sense == "max" and not fac.nonpositive:
+        raise RangeNotNonpositive("R(B) is not W-nonpositive")
     x0, resid, m, m_scale = _solve_normal(p, rank_tol)
     value = eval_f(p, x0)
     schur_value, _ = _schur_value(p, fac, value, "extremal value")
@@ -404,17 +398,13 @@ def _solve_imms(p, rank_tol, fac=None):
 def neutral_shift(p, seed, rank_tol=None):
     """A Z2 with (B Z2)^# W (B Z2) = 0: maps into the W-neutral directions
     of R(B).  Zero when the compressed form has no kernel."""
-    s = p.range_b(rank_tol)
-    if s.dim == 0:
-        return np.zeros((p.space.dim, p.space.dim), dtype=complex)
-    a = herm(s.frame.conj().T @ (p.space.j_ref @ p.w) @ s.frame)
-    lam, vec = np.linalg.eigh(a)
-    ztol = p.space.tol * max(1.0, p.w_norm)
-    kernel = vec[:, np.abs(lam) <= ztol]
+    fac = _factor(p, rank_tol)
+    lam, vec = np.linalg.eigh(herm(fac.form))
+    kernel = vec[:, np.abs(lam) <= p.space.tol * p.w_norm]
     if kernel.shape[1] == 0:
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)
     rng = np.random.default_rng(seed)
-    targets = s.frame @ kernel          # neutral directions inside R(B)
+    targets = fac.s.frame @ kernel      # neutral directions inside R(B)
     mix = crand(rng, targets.shape[1], p.space.dim)
     return pinv(p.b, rank_tol) @ (targets @ mix)
 

@@ -23,7 +23,7 @@ from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
 from .linalg import (generalized_eigh, herm, herm_sign_and_root,
                      g_orthonormalize, min_eig_herm, null_frame, opnorm,
-                     orth_frame, same_bits, scale_of, subspace_intersection,
+                     orth_frame, same_bits, subspace_intersection,
                      subspace_sum)
 from .subspaces import (Subspace, WSplit, _complement_within,
                         _projection_stacks, oblique_projection, preimage)
@@ -110,9 +110,9 @@ class Factorization:
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
     ``KreinSpace`` or a ``WeightedProblem``.  W is validated here unless
-    the caller passes ``norm``, the ||W|| of an already validated W;
-    ``jw`` (J_ref W) and ``reference`` (the reference signature) fill
-    those caches when the caller already holds them.
+    the caller passes ``norm``, the ||W|| of a validated W (or of the one
+    W derived from) that every decision is judged at; ``jw`` (J_ref W)
+    and ``reference`` (the reference signature) fill those caches.
     """
 
     def __init__(self, w, s, space, rank_tol=None, *, norm=None, jw=None,
@@ -120,7 +120,7 @@ class Factorization:
         if norm is None:
             w, jw, norm = require_krein_selfadjoint(w, space)
         vars(self).update(w=w, s=s, space=space, rank_tol=rank_tol,
-                          norm=norm, scale=max(1.0, norm))
+                          norm=norm)
         for name, value in (("jw", jw), ("reference", reference)):
             if value is not None:
                 vars(self)[name] = value
@@ -163,11 +163,19 @@ class Factorization:
         return total.shape[1] == self.space.dim
 
     @cached_property
+    def form(self):
+        """The compressed form S* (J_ref W) S."""
+        return self.s.frame.conj().T @ self.jw @ self.s.frame
+
+    @cached_property
     def nonnegative(self):
         """[Wx, x] >= 0 on S (compressed form PSD within tol)?"""
-        f = self.s.frame
-        return self.s.dim == 0 or min_eig_herm(f.conj().T @ self.jw @ f) \
-            >= -self.space.tol * self.scale
+        return min_eig_herm(self.form) >= -self.space.tol * self.norm
+
+    @cached_property
+    def nonpositive(self):
+        """[Wx, x] <= 0 on S (compressed form NSD within tol)?"""
+        return min_eig_herm(-self.form) >= -self.space.tol * self.norm
 
     def blocks_under(self, signature):
         """The blocks of the weight form relative to S in the signature's
@@ -230,7 +238,7 @@ class Factorization:
         v = blocks.basis_sperp
         schur = signature.entries @ (v @ core @ v.conj().T @ signature.gram)
 
-        tol = space.tol * self.scale
+        tol = space.tol * wn
         if s.dim and opnorm(schur @ s.frame) > tol:
             raise InternalCertificateFailure("S is not inside N(W_{/[S]})")
         if opnorm(schur - self.companion.projector() @ schur) > tol:
@@ -257,11 +265,11 @@ class Factorization:
             kernel = _complement_within(d, t)
         q = oblique_projection(s, kernel)
 
-        sc = scale_of(q)
-        if opnorm(q @ q - q) > space.tol * sc * sc:
+        qn = opnorm(q)
+        if opnorm(q @ q - q) > space.tol * qn * qn:
             raise InternalCertificateFailure("projection is not idempotent")
         sym = self.jw @ q - q.conj().T @ self.jw   # WQ = Q^#W in coordinates
-        if opnorm(sym) > space.tol * self.scale * sc:
+        if opnorm(sym) > space.tol * self.norm * qn:
             raise InternalCertificateFailure(
                 "constructed projection is not W-symmetric")
         return q
@@ -276,10 +284,10 @@ class Factorization:
         u, n = self.s.frame, self.space.dim
         if self.s.dim == 0:
             return WSplit(Subspace.zero(n), Subspace.zero(n), signature)
-        a = herm(u.conj().T @ self.jw @ u)
+        a = herm(self.form)
         g = herm(u.conj().T @ signature.gram @ u)
         lam, vec = generalized_eigh(a, g)
-        plus = lam >= -self.space.tol * self.scale
+        plus = lam >= -self.space.tol * self.norm
         # the eigenvectors are g-orthonormal: frames below are orthonormal
         # in the signature's inner product
         return WSplit(s_plus=Subspace(u @ vec[:, plus]),
@@ -327,7 +335,7 @@ def _decompose(fac):
     w3 = -krein_sandwich(q_minus, w, space)
     w1 = fac.schur.schur
 
-    tol = space.tol * fac.scale
+    tol = space.tol * fac.norm
     checks = {
         "sum": opnorm(w - (w1 + w2 - w3)),
         "s_in_null_w1": opnorm(w1 @ s.frame) if s.dim else 0.0,
@@ -388,8 +396,10 @@ def verify_schur_identities(w, s, space, seed=0, rank_tol=None):
     split = fac.split
 
     def shorted(weight, part):
-        return Factorization(weight, part, space, rank_tol,
-                             reference=fac.reference).schur.schur
+        # judged at ||W||: a derived weight may be a rounding-level zero
+        _, jw, _ = require_krein_selfadjoint(weight, space, norm=fac.norm)
+        return Factorization(weight, part, space, rank_tol, norm=fac.norm,
+                             jw=jw, reference=fac.reference).schur.schur
 
     via_plus = shorted(fac.plus.schur.schur, split.s_minus)
     via_minus = shorted(fac.minus.schur.schur, split.s_plus)
@@ -444,10 +454,10 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     floors = [np.empty(0)]      # n_samples = 0 draws no stack
     for es in _projection_stacks(s, n_samples, seed):
         gaps = krein_sandwich(es, w, space) - schur
-        # fac.scale >= 1, so the denominator is max(scale_of(gap), fac.scale)
+        # the report normalizer max(scale_of(gap), max(1, ||W||))
         floors.append(np.linalg.eigvalsh(herm(space.j_ref @ gaps)).min(axis=1)
                       / np.maximum(np.linalg.norm(gaps, 2, axis=(1, 2)),
-                                   fac.scale))
+                                   max(1.0, fac.norm)))
     floors = np.concatenate(floors)
     return ProjectionInfimumReport(
         n_samples=len(floors), min_floor=float(floors.min(initial=np.inf)),

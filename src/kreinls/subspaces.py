@@ -16,7 +16,7 @@ import numpy as np
 from .core import SignatureOperator, _frozen
 from .errors import DimensionMismatch
 from .linalg import (as_complex, crand, min_eig_herm, null_frame, opnorm,
-                     orth_frame, scale_of)
+                     orth_frame)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class Subspace:
         if v.ndim == 1:
             v = v[:, None]
         resid = v - self.frame @ (self.frame.conj().T @ v)
-        return opnorm(resid) <= tol * scale_of(v)
+        return opnorm(resid) <= tol * opnorm(v)
 
     def coordinate_complement(self, rank_tol=None):
         return Subspace(null_frame(self.frame.conj().T, rank_tol))
@@ -144,7 +144,8 @@ def is_w_nonnegative(w, s, space):
 
 
 def is_w_nonpositive(w, s, space):
-    return is_w_nonnegative(-as_complex(w), s, space)
+    from .schur import Factorization
+    return Factorization(w, s, space).nonpositive
 
 
 def oblique_projection(onto, along):

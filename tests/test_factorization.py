@@ -91,4 +91,3 @@ def test_factorization_is_immutable_and_matches_the_wrappers():
         fac.norm = 0.0
     ref = schur_complement(p.w, s, p.space)
     assert np.array_equal(fac.schur.schur, ref.schur)
-    assert fac.scale == max(1.0, np.linalg.norm(p.w, 2))

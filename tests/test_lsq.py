@@ -6,8 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import crandn, regime_problems
-from kreinls import (REGIMES, GeneratorSpec, InternalCertificateFailure,
-                     KreinError, MinMaxUnsolvable,
+from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
                      NormalEquationUnsolvable, OperandOverflow,
                      RangeNotNonnegative,
                      RangeNotNonpositive, SignatureOperator, WeightedProblem,
@@ -298,11 +297,10 @@ def test_minimality_certificate_reports():
 
 
 def test_solve_ims_weight_scale():
-    """The exact certificate is relative to ||B||^2 ||W||, so scaling W
+    """Every tolerance is relative to the operands' norms, so scaling W
     changes no decision: solve_ims accepts W * 10^k with the unit-scale
-    X0, and still refuses the W * 1e-10 copy of a wrong-signed range,
-    which the range test's absolute tolerance below unit norm lets
-    through to the certificate."""
+    X0, and refuses the W * 1e-10 copy of a wrong-signed range with the
+    unit-scale RangeNotNonnegative."""
     def problem(regime, alpha):
         p = generate_instance(GeneratorSpec(dim=8, seed=20190212,
                                             regime=regime)).problem
@@ -313,16 +311,11 @@ def test_solve_ims_weight_scale():
         sol = solve_ims(problem("range_nonnegative", 10.0 ** k))
         assert sol.certificate.passed and sol.certificate.n_samples == 0
         assert opnorm(sol.x0 - x0) <= 1e-12 * opnorm(x0)
-    with pytest.raises(InternalCertificateFailure):
+    with pytest.raises(RangeNotNonnegative):
         solve_ims(problem("range_indefinite", 1e-10))
 
 
-@pytest.mark.parametrize("alpha", [
-    1.0, 1e-8,
-    pytest.param(1e-10, marks=pytest.mark.xfail(strict=True, reason=(
-        "known bug, ROADMAP item 3: the range test's max(1, ||W||) scale "
-        "is absolute below unit norm, so a wrong-signed range passes"))),
-])
+@pytest.mark.parametrize("alpha", [1.0, 1e-8, 1e-10])
 def test_wils_rejects_indefinite_range_at_any_weight_scale(alpha):
     """solve_wils_vector must refuse a range that is not W-nonnegative,
     whatever the units of W: the dim-8 range_indefinite instance of seed

@@ -52,7 +52,7 @@ def loop_infimum_check(w, s, space, n_samples, seed):
     for e in samples:
         gap = krein_sandwich(e, fac.w, space) - schur
         floors.append(min_eig_herm(space.j_ref @ gap)
-                      / max(scale_of(gap), fac.scale))
+                      / max(scale_of(gap), max(1.0, fac.norm)))
     return (len(floors), min(floors),
             sum(f < -space.tol for f in floors))
 
