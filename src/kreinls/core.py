@@ -8,12 +8,13 @@ coordinates, so independence claims become plain matrix identities.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotASignature, NotKreinSelfadjoint
-from .linalg import (as_complex, crand, expm, herm, hpd_sqrt, min_eig_herm,
-                     opnorm)
+from .linalg import (Norm, as_complex, crand, expm, herm, hpd_sqrt,
+                     min_eig_herm, opnorm, within)
 
 DEFAULT_TOL = 1e-10
 
@@ -45,10 +46,10 @@ class KreinSpace:
         if j.shape != (self.dim, self.dim):
             raise DimensionMismatch(
                 f"j_ref shape {j.shape} does not match dim {self.dim}")
-        sc = opnorm(j)
-        if opnorm(j - j.conj().T) > self.tol * sc:
+        jn = Norm(j)
+        if not within(j - j.conj().T, self.tol, jn):
             raise NotASignature("reference signature is not Hermitian")
-        if opnorm(j @ j - np.eye(self.dim)) > self.tol * sc * sc:
+        if not within(j @ j - np.eye(self.dim), self.tol, jn, jn):
             raise NotASignature("reference signature is not an involution")
         object.__setattr__(self, "j_ref", _frozen(j))
 
@@ -83,15 +84,15 @@ def standard_space(n_plus, n_minus, tol=DEFAULT_TOL):
 def validate_signature(j, g_ref, tol):
     """Raise NotASignature unless ``j`` is an involution, selfadjoint and
     positive in the inner product with Gram ``g_ref``; returns g_ref J."""
-    n = j.shape[0]
-    sc = opnorm(j)
-    if opnorm(j @ j - np.eye(n)) > tol * sc * sc:
+    jn = Norm(j)
+    if not within(j @ j - np.eye(j.shape[0]), tol, jn, jn):
         raise NotASignature("J^2 differs from the identity")
     gj = g_ref @ j
-    gsc = opnorm(gj)
-    if opnorm(gj - gj.conj().T) > tol * gsc:
+    gn = Norm(gj)
+    if not within(gj - gj.conj().T, tol, gn):
         raise NotASignature("J is not selfadjoint for the ambient product")
-    if min_eig_herm(gj) <= tol * gsc:
+    lam = min_eig_herm(gj)  # judged first at gn.high >= ||gj||
+    if not lam > tol * gn.high and lam <= tol * gn.exact:
         raise NotASignature("induced inner product is not positive definite")
     return gj
 
@@ -104,8 +105,6 @@ class SignatureOperator:
 
     entries: np.ndarray
     gram: np.ndarray = field(repr=False, default=None)
-    gram_sqrt: np.ndarray = field(repr=False, default=None)
-    gram_isqrt: np.ndarray = field(repr=False, default=None)
 
     @classmethod
     def from_matrix(cls, entries, space):
@@ -122,11 +121,16 @@ class SignatureOperator:
 
     @classmethod
     def _with_gram(cls, j, gj):
-        """The operator J with Gram herm(gj) = J_ref J and its roots."""
-        g = herm(gj)
-        root, iroot = hpd_sqrt(g)
-        return cls(entries=_frozen(j), gram=_frozen(g),
-                   gram_sqrt=_frozen(root), gram_isqrt=_frozen(iroot))
+        """The operator J with Gram herm(gj) = J_ref J."""
+        return cls(entries=_frozen(j), gram=_frozen(herm(gj)))
+
+    @cached_property
+    def _roots(self):
+        """(G^{1/2}, G^{-1/2}), computed together on first read of either."""
+        return tuple(map(_frozen, hpd_sqrt(self.gram)))
+
+    gram_sqrt = property(lambda self: self._roots[0], doc="G^{1/2}")
+    gram_isqrt = property(lambda self: self._roots[1], doc="G^{-1/2}")
 
 
 def krein_adjoint(a, space):
@@ -170,7 +174,7 @@ def require_krein_selfadjoint(w, space, what="weight", norm=None):
     w = space.check_operator(w)
     jw = space.j_ref @ w
     norm = opnorm(w) if norm is None else norm
-    if not opnorm(jw - jw.conj().T) <= space.tol * norm:
+    if not within(jw - jw.conj().T, space.tol * norm):
         raise NotKreinSelfadjoint(f"{what} is not [.,.]-selfadjoint")
     return w, jw, norm
 

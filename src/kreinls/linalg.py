@@ -2,8 +2,13 @@
 
 Every rank decision in the package funnels through :func:`numerical_rank`
 so that the cutoff (``dim * sigma_max * 1e-12``) and the ambiguity guard
-are applied uniformly.
+are applied uniformly; every pass/fail residual check funnels through
+:func:`excess` (or :func:`within`), which takes an SVD only when the
+Frobenius bounds of a :class:`Norm` cannot decide.
 """
+
+from functools import cached_property
+from math import prod
 
 import numpy as np
 
@@ -28,11 +33,47 @@ def herm(a):
 
 
 def opnorm(a):
-    """Spectral norm; an all-zero matrix needs no SVD."""
+    """Spectral norm, the same float as numpy.linalg.norm(a, 2) at about
+    half its cost on a matrix; a zero array needs no SVD."""
     a = np.asarray(a)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0] if a.ndim == 2
+                 else np.linalg.norm(a, 2))
+
+
+class Norm:
+    """||a||_2 between Frobenius bounds taken at once, ``low`` =
+    ||a||_F / sqrt(min(shape)) and ``high`` = 2 ||a||_F (0 and NaN when the
+    sum of squares may have over- or underflowed), so rounding cannot
+    invert a comparison with either; ``exact`` takes the SVD on first read."""
+
+    def __init__(self, a):
+        ss = float(np.vdot(a, a).real)
+        f = ss ** 0.5 if 1e-200 <= ss < np.inf else None
+        self.a, self.low = a, 0.0 if f is None else f / min(np.shape(a)) ** 0.5
+        self.high = (np.nan if np.any(a) else 0.0) if f is None else 2.0 * f
+
+    exact = cached_property(lambda self: opnorm(self.a))
+
+
+def excess(r, bound, *scales):
+    """None when opnorm(r) <= bound times the scales' spectral norms
+    (multiplied left to right), else opnorm(r): the same decision bit for
+    bit, settled by the Frobenius bounds when they can.  r and the scales
+    may be Norms, so that checks sharing a norm take it once."""
+    r, *scales = (x if isinstance(x, Norm) else Norm(x)
+                  for x in (r, *scales))
+    bound = float(bound)
+    if bound >= 0 and r.high <= prod((s.low for s in scales), start=bound):
+        return None
+    limit = prod((s.exact for s in scales), start=bound)
+    return None if r.exact <= limit else r.exact
+
+
+def within(r, bound, *scales):
+    """opnorm(r) <= bound times the scales' norms, decided by excess."""
+    return excess(r, bound, *scales) is None
 
 
 def fro_norm(a):

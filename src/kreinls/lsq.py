@@ -17,8 +17,8 @@ from .errors import (InternalCertificateFailure, MalformedInput,
                      MinMaxUnsolvable, NormalEquationUnsolvable,
                      OperandOverflow, RangeNotNonnegative,
                      RangeNotNonpositive)
-from .linalg import (crand, fro_norm, herm, min_eig_herm, numerical_rank,
-                     opnorm, pinv)
+from .linalg import (crand, excess, fro_norm, herm, min_eig_herm,
+                     numerical_rank, opnorm, pinv, within)
 from .schur import Factorization
 from .subspaces import WSplit, range_subspace
 
@@ -51,7 +51,7 @@ class WeightedProblem:
     b_norm: float = field(init=False, repr=False, compare=False)
     c_norm: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, w_norm=None):
         w, b, c = (_frozen(self.space.check_operator(a))
                    for a in (self.w, self.b, self.c))
         for name, a in (("W", w), ("B", b), ("C", c)):
@@ -63,13 +63,22 @@ class WeightedProblem:
             raise OperandOverflow(
                 f"max(|B|, |C|)^2 |W| = {bound:.3e} exceeds "
                 f"{OPERAND_LIMIT:.0e}: B^#WB, B^#WC and C^#WC would overflow")
-        _, _, w_norm = require_krein_selfadjoint(w, self.space)
+        _, _, w_norm = require_krein_selfadjoint(w, self.space, norm=w_norm)
         for name, value in (("w", w), ("b", b), ("c", c), ("w_norm", w_norm),
                             ("b_norm", opnorm(b)), ("c_norm", opnorm(c))):
             object.__setattr__(self, name, value)
 
     def range_b(self, rank_tol=None):
         return range_subspace(self.b, rank_tol)
+
+
+def _problem_at(w, b, c, space, w_norm):
+    """WeightedProblem(w, b, c, space) for a read-only W whose own
+    selfadjointness check took ||W|| = w_norm: problem_io's hand-off."""
+    p = object.__new__(WeightedProblem)
+    vars(p).update(w=w, b=b, c=c, space=space)
+    p.__post_init__(w_norm)
+    return p
 
 
 def _factor(p, rank_tol, reference=None):
@@ -91,7 +100,7 @@ def eval_f(p, x):
 def _normal_solve(p, target, rank_tol, target_norm=None):
     """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
 
-    Returns (violation, x, resid, sc, m, m_scale): the part of
+    Returns (outside, x, resid, sc, m, m_scale): the part of
     N = B^#W target outside R(M) (the Douglas range test), the
     minimal-norm solution pinv(M) N, its residual ||M x - N||, the scale
     ||B|| ||W|| ||target|| N was computed at, which callers judge both
@@ -105,22 +114,22 @@ def _normal_solve(p, target, rank_tol, target_norm=None):
     r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
     coef = u[:, :r].conj().T @ n
     x = (vh[:r].conj().T / s[:r]) @ coef
-    return (opnorm(n - u[:, :r] @ coef), x, opnorm(m @ x - n),
+    return (n - u[:, :r] @ coef, x, opnorm(m @ x - n),
             p.b_norm * p.w_norm * tn, m, m_scale)
 
 
 def normal_solvable(p, rank_tol=None):
     """Douglas range condition R(B^#WC) ⊆ R(B^#WB), as a predicate."""
-    violation, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol, p.c_norm)
-    return violation <= p.space.tol * sc
+    outside, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol, p.c_norm)
+    return within(outside, p.space.tol * sc)
 
 
 def _solve_normal(p, rank_tol):
     """solve_normal, also returning the normal residual of X0, M = B^#WB
     and the scale M was computed at."""
-    violation, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol,
-                                                         p.c_norm)
-    if violation > p.space.tol * sc:
+    outside, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol,
+                                                       p.c_norm)
+    if (violation := excess(outside, p.space.tol * sc)) is not None:
         raise NormalEquationUnsolvable(
             f"Douglas range condition fails (residual {violation:.3e})",
             residual=violation)
@@ -212,9 +221,8 @@ def _schur_value(p, fac, value, what):
     if not fac.complementable:
         return None, None
     schur_value = krein_sandwich(p.c, fac.schur.schur, p.space)
-    gap = opnorm(value - schur_value)
     sc = p.w_norm * p.c_norm ** 2
-    if gap > p.space.tol * sc:
+    if (gap := excess(value - schur_value, p.space.tol * sc)) is not None:
         raise InternalCertificateFailure(
             f"{what} differs from Schur form by {gap:.3e}")
     return schur_value, sc
@@ -286,8 +294,8 @@ def solve_wils_vector(p, y, rank_tol=None):
     y = p.space.check_vector(y)
     if not _factor(p, rank_tol).nonnegative:
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
-    violation, z, _, sc, _, _ = _normal_solve(p, y[:, None], rank_tol)
-    if violation > p.space.tol * sc:
+    outside, z, _, sc, _, _ = _normal_solve(p, y[:, None], rank_tol)
+    if (violation := excess(outside, p.space.tol * sc)) is not None:
         raise NormalEquationUnsolvable(
             f"no weighted solution for this right-hand side "
             f"(residual {violation:.3e})", residual=violation)
@@ -388,7 +396,7 @@ def _solve_imms(p, rank_tol, fac=None):
     if schur_value is not None:
         via_q = krein_adjoint(p.c, p.space) @ p.w \
             @ (np.eye(p.space.dim) - fac.q) @ p.c
-        if opnorm(value - via_q) > p.space.tol * sc:
+        if not within(value - via_q, p.space.tol * sc):
             raise InternalCertificateFailure(
                 "min-max value disagrees with the closed forms")
     return ImmsSolution(z=z, z1=z1, z2=z2, minmax_value=value,

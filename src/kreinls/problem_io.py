@@ -8,14 +8,14 @@ C, a subspace frame, and a tolerance override.
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, KreinSpace, is_krein_selfadjoint
-from .errors import KreinError, MalformedInput
-from .lsq import WeightedProblem
+from .core import DEFAULT_TOL, KreinSpace, require_krein_selfadjoint
+from .errors import KreinError, MalformedInput, NotKreinSelfadjoint
+from .lsq import _problem_at
 from .subspaces import Subspace
 
 
@@ -65,7 +65,8 @@ def decode_matrix(obj, where, rows=None, cols=None):
 @dataclass(frozen=True)
 class ProblemData:
     """Parsed problem file: the space plus whichever operators were
-    present."""
+    present.  W is read-only: parse_problem keeps the ||W|| its
+    selfadjointness check took, so the weighted problem need not retake it."""
 
     space: KreinSpace
     w: np.ndarray
@@ -73,13 +74,15 @@ class ProblemData:
     c: Optional[np.ndarray]
     subspace: Optional[Subspace]
     meta: dict
+    _w_norm: Optional[float] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def weighted_problem(self):
         if self.b is None:
             raise MalformedInput("problem file has no B operator")
         c = self.c if self.c is not None \
             else np.eye(self.space.dim, dtype=complex)
-        return WeightedProblem(w=self.w, b=self.b, c=c, space=self.space)
+        return _problem_at(self.w, self.b, c, self.space, self._w_norm)
 
     def subspace_or_range(self):
         if self.subspace is not None:
@@ -116,8 +119,11 @@ def parse_problem(data, tol_override=None):
     except KreinError as exc:
         raise MalformedInput(f"J: {exc}") from exc
     w = decode_matrix(data["W"], "W", rows=dim, cols=dim)
-    if not is_krein_selfadjoint(w, space):
-        raise MalformedInput("W: weight is not [.,.]-selfadjoint")
+    w.setflags(write=False)
+    try:
+        w_norm = require_krein_selfadjoint(w, space)[2]
+    except NotKreinSelfadjoint:
+        raise MalformedInput("W: weight is not [.,.]-selfadjoint") from None
 
     b = decode_matrix(data["B"], "B", rows=dim, cols=dim) \
         if "B" in data else None
@@ -132,7 +138,9 @@ def parse_problem(data, tol_override=None):
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise MalformedInput("'meta' must be an object")
-    return ProblemData(space=space, w=w, b=b, c=c, subspace=sub, meta=meta)
+    parsed = ProblemData(space=space, w=w, b=b, c=c, subspace=sub, meta=meta)
+    object.__setattr__(parsed, "_w_norm", w_norm)
+    return parsed
 
 
 def _read_json(path):

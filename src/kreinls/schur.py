@@ -21,10 +21,10 @@ from .core import (SignatureOperator, krein_sandwich,
                    random_signature_operator, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
-from .linalg import (generalized_eigh, herm, herm_sign_and_root,
-                     g_orthonormalize, min_eig_herm, null_frame, opnorm,
-                     orth_frame, same_bits, subspace_intersection,
-                     subspace_sum)
+from .linalg import (Norm, excess, generalized_eigh, herm,
+                     herm_sign_and_root, g_orthonormalize, min_eig_herm,
+                     null_frame, opnorm, orth_frame, same_bits,
+                     subspace_intersection, subspace_sum, within)
 from .subspaces import (Subspace, WSplit, _complement_within,
                         _projection_stacks, oblique_projection, preimage)
 
@@ -208,12 +208,12 @@ class Factorization:
     def weakly_complementable(self):
         """R(b) ⊆ R(a) for the reference blocks?"""
         a, b = self.blocks.a, self.blocks.b
-        bn = opnorm(b)
-        if b.size == 0 or bn <= self.space.tol * self.norm:
+        bn, tol = Norm(b), self.space.tol
+        if bn.high <= tol * self.norm:
             return True     # coupling block vanishes at the weight's scale
         ra = orth_frame(a, self.rank_tol, context=self.norm)
-        resid = b - ra @ (ra.conj().T @ b)
-        return opnorm(resid) <= self.space.tol * bn
+        return within(b - ra @ (ra.conj().T @ b), tol, bn) \
+            or within(bn, tol * self.norm)
 
     @cached_property
     def schur(self):
@@ -228,10 +228,10 @@ class Factorization:
         u, root, rootinv = herm_sign_and_root(blocks.a, self.rank_tol,
                                               context=wn)
         f = rootinv @ blocks.b
-        bn = opnorm(blocks.b)
-        if blocks.b.size and bn > space.tol * wn:
-            douglas = opnorm(root @ f - blocks.b)
-            if douglas > space.tol * bn:
+        bn = Norm(blocks.b)     # taken exactly only if a check needs it
+        if not bn.high <= space.tol * wn:   # else b is negligible
+            douglas = excess(root @ f - blocks.b, space.tol, bn)
+            if douglas is not None and not within(bn, space.tol * wn):
                 raise NotWeaklyComplementable(
                     f"R(b) not inside R(|a|^1/2): residual {douglas:.3e}")
         core = herm(blocks.c - f.conj().T @ u @ f)
@@ -239,13 +239,13 @@ class Factorization:
         schur = signature.entries @ (v @ core @ v.conj().T @ signature.gram)
 
         tol = space.tol * wn
-        if s.dim and opnorm(schur @ s.frame) > tol:
+        if s.dim and not within(schur @ s.frame, tol):
             raise InternalCertificateFailure("S is not inside N(W_{/[S]})")
-        if opnorm(schur - self.companion.projector() @ schur) > tol:
+        if not within(schur - self.companion.projector() @ schur, tol):
             raise InternalCertificateFailure(
                 "R(W_{/[S]}) is not inside S^[perp]")
         j_schur = space.j_ref @ schur
-        if opnorm(j_schur - j_schur.conj().T) > tol:
+        if not within(j_schur - j_schur.conj().T, tol):
             raise InternalCertificateFailure("W_{/[S]} is not selfadjoint")
         return SchurResult(
             schur=schur, compression=self.w - schur,
@@ -265,11 +265,11 @@ class Factorization:
             kernel = _complement_within(d, t)
         q = oblique_projection(s, kernel)
 
-        qn = opnorm(q)
-        if opnorm(q @ q - q) > space.tol * qn * qn:
+        qn = Norm(q)
+        if not within(q @ q - q, space.tol, qn, qn):
             raise InternalCertificateFailure("projection is not idempotent")
         sym = self.jw @ q - q.conj().T @ self.jw   # WQ = Q^#W in coordinates
-        if opnorm(sym) > space.tol * self.norm * qn:
+        if not within(sym, space.tol * self.norm, qn):
             raise InternalCertificateFailure(
                 "constructed projection is not W-symmetric")
         return q
@@ -336,16 +336,11 @@ def _decompose(fac):
     w1 = fac.schur.schur
 
     tol = space.tol * fac.norm
-    checks = {
-        "sum": opnorm(w - (w1 + w2 - w3)),
-        "s_in_null_w1": opnorm(w1 @ s.frame) if s.dim else 0.0,
-        "minus_in_null_w2":
-            opnorm(w2 @ split.s_minus.frame) if split.s_minus.dim else 0.0,
-        "plus_in_null_w3":
-            opnorm(w3 @ split.s_plus.frame) if split.s_plus.dim else 0.0,
-    }
-    for name, resid in checks.items():
-        if resid > tol:
+    checks = {"sum": w - (w1 + w2 - w3), "s_in_null_w1": w1 @ s.frame,
+              "minus_in_null_w2": w2 @ split.s_minus.frame,
+              "plus_in_null_w3": w3 @ split.s_plus.frame}
+    for name, r in checks.items():
+        if (resid := excess(r, tol)) is not None:
             raise InternalCertificateFailure(
                 f"three-term decomposition check {name} failed: {resid:.3e}")
     for name, mat in (("w2", w2), ("w3", w3)):

@@ -16,7 +16,7 @@ import numpy as np
 from .core import SignatureOperator, _frozen
 from .errors import DimensionMismatch
 from .linalg import (as_complex, crand, min_eig_herm, null_frame, opnorm,
-                     orth_frame)
+                     orth_frame, within)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class Subspace:
         if v.ndim == 1:
             v = v[:, None]
         resid = v - self.frame @ (self.frame.conj().T @ v)
-        return opnorm(resid) <= tol * opnorm(v)
+        return within(resid, tol, v)
 
     def coordinate_complement(self, rank_tol=None):
         return Subspace(null_frame(self.frame.conj().T, rank_tol))

@@ -6,9 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kreinls import (REGIMES, GeneratorSpec, KreinError, WeightedProblem,
-                     generate_instance, schur_complement, solve_ims,
-                     solve_imms, solve_trace_minmax)
+from kreinls import (REGIMES, GeneratorSpec, KreinError, SignatureOperator,
+                     WeightedProblem, generate_instance, parse_problem,
+                     problem_to_dict, random_signature_operator,
+                     schur_complement, solve_ims, solve_imms,
+                     solve_trace_minmax)
+from kreinls.linalg import herm, hpd_sqrt
 
 # The numpy.linalg kernels kreinls calls; spectral norms reach ``svd``
 # inside the module that defines numpy's ``norm``.
@@ -91,3 +94,77 @@ def test_factorization_is_immutable_and_matches_the_wrappers():
         fac.norm = 0.0
     ref = schur_complement(p.w, s, p.space)
     assert np.array_equal(fac.schur.schur, ref.schur)
+
+
+@pytest.mark.parametrize("call", ["solve_ims", "solve_imms",
+                                  "schur_complement"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_no_eigh_runs_on_the_reference_gram(regime, call, kernel_log):
+    """These calls never read the reference signature's Gram roots, so
+    no eigh takes the n x n Gram J_ref J_ref."""
+    for seed in (0, 1, 2):
+        inst = generate_instance(GeneratorSpec(dim=6, seed=seed,
+                                               regime=regime))
+        p = inst.problem
+        j = p.space.j_ref
+        gram = herm(herm(j @ j)).tobytes()
+        kernel_log.clear()
+        try:
+            CALLS[call](inst, p)
+        except KreinError:
+            pass
+        on_gram = [name for name, _, _, _, _, data in kernel_log
+                   if name == "eigh" and data == gram]
+        assert not on_gram, f"seed {seed}: eigh of the Gram"
+
+
+def test_signature_roots_are_computed_once_on_first_read(kernel_log):
+    inst = generate_instance(GeneratorSpec(dim=6, seed=3,
+                                           regime="range_indefinite"))
+    space = inst.space
+    for make in (lambda: SignatureOperator.reference(space),
+                 lambda: random_signature_operator(space, 4)):
+        sig = make()
+        kernel_log.clear()
+        sig = make()
+        assert not [k for k in kernel_log if k[0] == "eigh"]
+        kernel_log.clear()
+        root, iroot = sig.gram_sqrt, sig.gram_isqrt
+        assert [k[0] for k in kernel_log] == ["eigh"]
+        assert sig.gram_sqrt is root and sig.gram_isqrt is iroot
+        assert not root.flags.writeable and not iroot.flags.writeable
+        want_root, want_iroot = hpd_sqrt(sig.gram)
+        assert np.array_equal(root, want_root)
+        assert np.array_equal(iroot, want_iroot)
+
+
+def test_a_parsed_problem_takes_the_weight_norm_once(kernel_log):
+    """parse_problem checks W's selfadjointness and hands ||W|| to the
+    WeightedProblem, so a CLI solver command takes one SVD of W."""
+    inst = generate_instance(GeneratorSpec(dim=6, seed=5,
+                                           regime="range_nonnegative"))
+    doc = problem_to_dict(problem=inst.problem, subspace=inst.subspace)
+    kernel_log.clear()
+    p = parse_problem(doc).weighted_problem()
+    on_w = [k for k in kernel_log if k[0] == "svd" and k[-1] == p.w.tobytes()]
+    assert len(on_w) == 1
+    direct = WeightedProblem(w=p.w, b=p.b, c=p.c, space=p.space)
+    assert direct.w_norm == p.w_norm
+    assert np.array_equal(direct.w, p.w) and direct.b_norm == p.b_norm
+
+
+def test_the_weight_norm_cannot_be_passed_in():
+    """||W|| judges W's own selfadjointness, so no caller can set it: it
+    is not a constructor argument, and a parsed W cannot be changed after
+    the parser took its norm."""
+    inst = generate_instance(GeneratorSpec(dim=6, seed=5,
+                                           regime="range_nonnegative"))
+    p = inst.problem
+    with pytest.raises(TypeError):
+        WeightedProblem(w=p.w, b=p.b, c=p.c, space=p.space, w_norm=1e300)
+    data = parse_problem(problem_to_dict(problem=p, subspace=inst.subspace))
+    with pytest.raises(TypeError):
+        type(data)(space=data.space, w=data.w, b=data.b, c=data.c,
+                   subspace=None, meta={}, _w_norm=1e300)
+    with pytest.raises(ValueError):
+        data.w[0, 1] += 1.0
