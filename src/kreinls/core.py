@@ -7,12 +7,14 @@ fundamental decompositions are just other signature matrices over the same
 coordinates, so independence claims become plain matrix identities.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotASignature, NotKreinSelfadjoint
+from .errors import (DimensionMismatch, MalformedInput, NotASignature,
+                     NotKreinSelfadjoint)
 from .linalg import (Norm, as_complex, crand, expm, herm, hpd_sqrt,
                      min_eig_herm, opnorm, within)
 
@@ -32,7 +34,7 @@ class KreinSpace:
 
     A residual r counts as zero when r <= tol times the norms of the
     operands it was computed from, with no floor: no decision depends on
-    their units.  ``j_ref`` is a read-only copy, safe to share.
+    their units.  ``j_ref`` is a read-only copy, safe to share; 0 < tol < inf.
     """
 
     dim: int
@@ -42,6 +44,10 @@ class KreinSpace:
     def __post_init__(self):
         if self.dim <= 0:
             raise DimensionMismatch("dimension must be positive")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not 0 < tol < np.inf:
+            raise MalformedInput("'tol' must be a positive finite number")
         j = as_complex(self.j_ref)
         if j.shape != (self.dim, self.dim):
             raise DimensionMismatch(

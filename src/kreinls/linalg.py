@@ -246,26 +246,6 @@ def g_orthonormalize(frame, g):
     return frame @ np.linalg.inv(ell.conj().T)
 
 
-def subspace_sum(*frames):
-    """Orthonormal frame of the span of the union of the given frames."""
-    cols = [f for f in frames if f.shape[1] > 0]
-    if not cols:
-        dim = frames[0].shape[0]
-        return np.zeros((dim, 0), dtype=complex)
-    return orth_frame(np.hstack(cols))
-
-
-def subspace_intersection(fa, fb, rank_tol=None):
-    """Orthonormal frame of span(fa) ∩ span(fb)."""
-    dim = fa.shape[0]
-    if fa.shape[1] == 0 or fb.shape[1] == 0:
-        return np.zeros((dim, 0), dtype=complex)
-    # x in both spans  <=>  x ⟂ both orthocomplements (norms <= 1)
-    pa = np.eye(dim) - fa @ fa.conj().T
-    pb = np.eye(dim) - fb @ fb.conj().T
-    return null_frame(np.vstack([pa, pb]), rank_tol, context=1.0)
-
-
 def min_eig_herm(a):
     """Smallest eigenvalue of the Hermitian part of ``a``."""
     a = np.asarray(a)

@@ -102,7 +102,7 @@ def _normal_solve(p, target, rank_tol, target_norm=None):
 
     Returns (outside, x, resid, sc, m, m_scale): the part of
     N = B^#W target outside R(M) (the Douglas range test), the
-    minimal-norm solution pinv(M) N, its residual ||M x - N||, the scale
+    minimal-norm solution pinv(M) N, its residual M x - N, the scale
     ||B|| ||W|| ||target|| N was computed at, which callers judge both
     against, M itself and ||B||^2 ||W||, the scale M was computed at.
     """
@@ -114,7 +114,7 @@ def _normal_solve(p, target, rank_tol, target_norm=None):
     r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
     coef = u[:, :r].conj().T @ n
     x = (vh[:r].conj().T / s[:r]) @ coef
-    return (n - u[:, :r] @ coef, x, opnorm(m @ x - n),
+    return (n - u[:, :r] @ coef, x, m @ x - n,
             p.b_norm * p.w_norm * tn, m, m_scale)
 
 
@@ -125,17 +125,17 @@ def normal_solvable(p, rank_tol=None):
 
 
 def _solve_normal(p, rank_tol):
-    """solve_normal, also returning the normal residual of X0, M = B^#WB
-    and the scale M was computed at."""
+    """solve_normal, also returning the normal residual M X0 - N of X0,
+    M = B^#WB and the scale M was computed at."""
     outside, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol,
                                                        p.c_norm)
     if (violation := excess(outside, p.space.tol * sc)) is not None:
         raise NormalEquationUnsolvable(
             f"Douglas range condition fails (residual {violation:.3e})",
             residual=violation)
-    if resid > p.space.tol * sc:
+    if (norm := excess(resid, p.space.tol * sc)) is not None:
         raise InternalCertificateFailure(
-            f"normal equation residual {resid:.3e} after solvable test")
+            f"normal equation residual {norm:.3e} after solvable test")
     return x0, resid, m, m_scale
 
 
@@ -263,7 +263,8 @@ def _solve_extremal(p, sense, rank_tol):
         raise InternalCertificateFailure(
             f"{sense} certificate violated: floor {cert.min_floor:.3e}")
     return ImsSolution(x0=x0, extremal_value=value, schur_value=schur_value,
-                       normal_residual=resid, certificate=cert, sense=sense)
+                       normal_residual=opnorm(resid), certificate=cert,
+                       sense=sense)
 
 
 def solve_ims(p, rank_tol=None):

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DEFAULT_TOL, KreinSpace, require_krein_selfadjoint
-from .errors import KreinError, MalformedInput, NotKreinSelfadjoint
+from .errors import MalformedInput, NotASignature, NotKreinSelfadjoint
 from .lsq import _problem_at
 from .subspaces import Subspace
 
@@ -110,13 +110,10 @@ def parse_problem(data, tol_override=None):
 
     tol = data.get("tol", DEFAULT_TOL) if tol_override is None \
         else tol_override
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
-            or not 0 < tol < np.inf:
-        raise MalformedInput("'tol' must be a positive finite number")
     j = decode_matrix(data["J"], "J", rows=dim, cols=dim)
     try:
         space = KreinSpace(dim=dim, j_ref=j, tol=tol)
-    except KreinError as exc:
+    except NotASignature as exc:      # a bad 'tol' raises MalformedInput
         raise MalformedInput(f"J: {exc}") from exc
     w = decode_matrix(data["W"], "W", rows=dim, cols=dim)
     w.setflags(write=False)

@@ -23,8 +23,7 @@ from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
 from .linalg import (Norm, excess, generalized_eigh, herm,
                      herm_sign_and_root, g_orthonormalize, min_eig_herm,
-                     null_frame, opnorm, orth_frame, same_bits,
-                     subspace_intersection, subspace_sum, within)
+                     null_frame, opnorm, orth_frame, same_bits, within)
 from .subspaces import (Subspace, WSplit, _complement_within,
                         _projection_stacks, oblique_projection, preimage)
 
@@ -101,11 +100,13 @@ class Factorization:
     """The weight W relative to a subspace S, factored once.
 
     Every (W, S) question of the paper comes from this one object: the
-    companion S^[perp], the preimage W^{-1}(S^[perp]) and complementability
-    (H = S + W^{-1}(S^[perp])), the blocks [[a, b], [b*, c]] and the Schur
-    complement W_{/[S]}, the W-symmetric projection Q and the split
-    S_+ [+] S_-.  Each is computed on first use, by the same operations
-    as the module-level functions that wrap it, and then kept.
+    companion S^[perp], the preimage T = W^{-1}(S^[perp]) and
+    complementability (H = S + T), the blocks [[a, b], [b*, c]] and the
+    Schur complement W_{/[S]}, the W-symmetric projection Q and the split
+    S_+ [+] S_-.  Each is computed on first use and then kept.  Each
+    subspace question takes one SVD: S^perp is the one ``from_span`` kept
+    (or of S* for a given frame), and dim(S + T) and the S ∩ T that Q's
+    kernel needs come from one SVD of [F_S, -F_T].
 
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
@@ -157,10 +158,18 @@ class Factorization:
         return preimage(self.w, self.companion, self.rank_tol, self.norm)
 
     @cached_property
+    def _meet(self):
+        """(dim(S + T), S ∩ T): null vectors [a; b] of [F_S, -F_T] have
+        F_S a = F_T b, so a*a = b*b = I/2 and sqrt(2) F_S a is orthonormal."""
+        s, t = self.s.frame, self.preimage.frame
+        k = s.shape[1]
+        null = null_frame(np.hstack([s, -t]), self.rank_tol, context=1.0)
+        return k + t.shape[1] - null.shape[1], np.sqrt(2) * (s @ null[:k])
+
+    @cached_property
     def complementable(self):
         """H = S + W^{-1}(S^[perp])?"""
-        total = subspace_sum(self.s.frame, self.preimage.frame)
-        return total.shape[1] == self.space.dim
+        return self._meet[0] == self.space.dim
 
     @cached_property
     def form(self):
@@ -257,13 +266,10 @@ class Factorization:
             raise NotComplementable(
                 "S + W^{-1}(S^[perp]) does not fill the space")
         space, s, t = self.space, self.s.frame, self.preimage.frame
-        d = subspace_intersection(s, t, self.rank_tol)
-        if extra_kernel is not None and extra_kernel.shape[1] > 0:
-            rest = _complement_within(subspace_sum(d, extra_kernel), t)
-            kernel = subspace_sum(extra_kernel, rest)
-        else:
-            kernel = _complement_within(d, t)
-        q = oblique_projection(s, kernel)
+        e = s[:, :0] if extra_kernel is None else extra_kernel
+        # N(Q): E and the part of T orthogonal to both E and S ∩ T
+        rest = _complement_within(np.hstack([self._meet[1], e]), t)
+        q = oblique_projection(s, np.hstack([e, rest]))
 
         qn = Norm(q)
         if not within(q @ q - q, space.tol, qn, qn):

@@ -9,30 +9,38 @@ coordinate construction.  The functions of a weight W and a subspace S
 are thin wrappers over ``schur.Factorization``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SignatureOperator, _frozen
 from .errors import DimensionMismatch
-from .linalg import (as_complex, crand, min_eig_herm, null_frame, opnorm,
-                     orth_frame, within)
+from .linalg import (as_complex, crand, min_eig_herm, null_frame,
+                     numerical_rank, opnorm, within)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A closed subspace given by an orthonormal column frame, stored as
-    a read-only copy of the matrix passed in."""
+    """A closed subspace: a read-only copy of an orthonormal column frame,
+    and the coordinate complement when ``from_span``'s SVD gave it."""
 
     frame: np.ndarray
+    _complement: "np.ndarray | None" = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "frame", _frozen(self.frame))
 
     @classmethod
     def from_span(cls, a, rank_tol=None):
-        """Subspace spanned by the columns of ``a`` (any matrix)."""
-        return cls(orth_frame(as_complex(a), rank_tol))
+        """Subspace spanned by the columns of ``a`` (any matrix): the left
+        singular vectors up to the numerical rank, the rest kept as S^perp."""
+        a = as_complex(a)
+        u, s, _ = np.linalg.svd(a)
+        r = numerical_rank(s, max(a.shape), rank_tol)
+        span = cls(u[:, :r])
+        object.__setattr__(span, "_complement", _frozen(u[:, r:]))
+        return span
 
     @classmethod
     def zero(cls, dim):
@@ -63,6 +71,8 @@ class Subspace:
         return within(resid, tol, v)
 
     def coordinate_complement(self, rank_tol=None):
+        if rank_tol is None and self._complement is not None:
+            return Subspace(self._complement)
         return Subspace(null_frame(self.frame.conj().T, rank_tol))
 
 

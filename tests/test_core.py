@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import crandn, random_selfadjoint
-from kreinls import (DimensionMismatch, KreinSpace, NotASignature,
-                     NotKreinSelfadjoint, SignatureOperator, Subspace,
+from kreinls import (DimensionMismatch, KreinSpace, MalformedInput,
+                     NotASignature, NotKreinSelfadjoint, SignatureOperator,
+                     Subspace,
                      WeightedProblem, is_krein_positive, is_krein_selfadjoint, krein_adjoint,
                      krein_gram, random_signature_operator, standard_space)
 
@@ -19,6 +20,14 @@ def test_space_validates_reference_signature():
         KreinSpace(2, np.diag([1.0, -2.0]))                 # not involutive
     with pytest.raises(DimensionMismatch):
         KreinSpace(3, np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, True])
+def test_space_validates_tol(tol):
+    """A tolerance that is not a positive finite real number is malformed
+    input, not a fault of the signature."""
+    with pytest.raises(MalformedInput, match="'tol' must be a positive"):
+        KreinSpace(2, np.diag([1.0, -1.0]), tol=tol)
 
 
 def test_signature_counts():

@@ -9,7 +9,7 @@ import pytest
 from kreinls import (REGIMES, GeneratorSpec, KreinError, SignatureOperator,
                      WeightedProblem, generate_instance, parse_problem,
                      problem_to_dict, random_signature_operator,
-                     schur_complement, solve_ims, solve_imms,
+                     range_subspace, schur_complement, solve_ims, solve_imms,
                      solve_trace_minmax)
 from kreinls.linalg import herm, hpd_sqrt
 
@@ -67,6 +67,26 @@ def test_no_kernel_runs_twice_on_the_same_input(regime, call, kernel_log):
             repeats = [(name, shape) for (name, _, _, _, shape, _), n
                        in Counter(kernel_log).items() if n > 1]
             assert not repeats, f"seed {seed}: repeated {repeats}"
+
+
+@pytest.mark.parametrize("call", ["solve_imms", "solve_trace_minmax"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_the_complement_of_the_range_comes_from_its_svd(regime, call,
+                                                        kernel_log):
+    """R(B)'s own SVD gives its coordinate complement: no SVD takes S*."""
+    for seed in (0, 1, 2):
+        inst = generate_instance(GeneratorSpec(dim=6, seed=seed,
+                                               regime=regime))
+        p = inst.problem
+        rows = range_subspace(p.b).frame.conj().T.tobytes()
+        kernel_log.clear()
+        try:
+            CALLS[call](inst, p)
+        except KreinError:
+            pass
+        assert any(k[0] == "svd" for k in kernel_log)
+        on_rows = [k for k in kernel_log if k[0] == "svd" and k[-1] == rows]
+        assert not on_rows, f"seed {seed}: an SVD of S*"
 
 
 def test_factorization_lives_for_one_call():

@@ -7,8 +7,7 @@ from numpy.testing import assert_allclose
 from kreinls import RankThresholdAmbiguous
 from kreinls.linalg import (Norm, excess, g_orthonormalize, hpd_sqrt,
                             herm_sign_and_root, null_frame, numerical_rank,
-                            opnorm, orth_frame, pinv, subspace_intersection,
-                            subspace_sum, within)
+                            opnorm, orth_frame, pinv, within)
 
 
 def test_numerical_rank_basic():
@@ -78,16 +77,6 @@ def test_hpd_sqrt_and_g_orthonormalize():
 
     frame = g_orthonormalize(rng.standard_normal((4, 2)), g)
     assert_allclose(frame.conj().T @ g @ frame, np.eye(2), atol=1e-10)
-
-
-def test_subspace_sum_and_intersection():
-    e = np.eye(4)
-    s1 = e[:, :2]
-    s2 = e[:, 1:3]
-    assert subspace_sum(s1, s2).shape[1] == 3
-    inter = subspace_intersection(s1, s2)
-    assert inter.shape[1] == 1
-    assert abs(abs(inter[1, 0]) - 1.0) < 1e-12
 
 
 def _residuals():

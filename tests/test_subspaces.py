@@ -11,7 +11,7 @@ from kreinls import (DimensionMismatch, NotComplementable, SignatureOperator,
                      orthogonal_companion, preimage, projection_with_kernel,
                      range_subspace, standard_space, symmetric_projection,
                      w_split)
-from kreinls.linalg import opnorm, subspace_sum
+from kreinls.linalg import opnorm, orth_frame
 
 W_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])  # JW = [[0,1],[1,0]], a = 0
 
@@ -108,8 +108,8 @@ def test_w_split_soundness(seed):
     for name, val in defects.items():
         assert val <= 1e-10 * max(1.0, opnorm(w)), (name, val)
     # parts recompose S
-    assert subspace_sum(split.s_plus.frame,
-                        split.s_minus.frame).shape[1] == s.dim
+    assert orth_frame(np.hstack([split.s_plus.frame,
+                                 split.s_minus.frame])).shape[1] == s.dim
     # quadratic-form sign on 1000 random unit vectors of each part
     for part, sign in ((split.s_plus, 1.0), (split.s_minus, -1.0)):
         if part.dim == 0:

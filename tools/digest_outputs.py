@@ -4,7 +4,7 @@
 
 Run it on two checkouts, on the same machine and NumPy/BLAS build (the
 last bits of LAPACK results differ between builds), and compare the
-printed JSON.  Four digests, each a SHA-256 prefix over a fixed corpus:
+printed JSON.  Five digests, each a SHA-256 prefix over a fixed corpus:
 
 - ``suites``: the 7 suite reports at dim 4, count 20, seeds 11 and 12,
   as ``json.dumps(report.to_dict(), sort_keys=True)`` with
@@ -16,7 +16,11 @@ printed JSON.  Four digests, each a SHA-256 prefix over a fixed corpus:
   the operands as generated, with C = I and with W scaled by 1e-10;
 - ``cli``: exit code, stdout and stderr of the solver commands on dim-8
   and dim-32 problem files of three regimes, of ``verify``, of
-  ``generate`` and of a problem file whose W is not selfadjoint.
+  ``generate`` and of a problem file whose W is not selfadjoint;
+- ``decisions``: only the outcome of each ``solvers`` and ``cli`` item:
+  ``ok``, the error type or a boolean result for a call, the exit code
+  and the error type it printed (or ``ok``) for a command.  A change that
+  alters bits can show with it that no decision changed.
 
 ``--detail`` also prints the digest of each item, to find what differs.
 """
@@ -65,10 +69,26 @@ def raw(value):
 
 
 def outcome(fn):
+    """(digest of the result or the error, the decision: ``ok``, the error
+    type or the boolean the call returned)."""
     try:
-        return sha(raw(fn()))
+        value = fn()
     except Exception as exc:     # the error is the output
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", type(exc).__name__
+    return sha(raw(value)), value if isinstance(value, bool) else "ok"
+
+
+def verdict(proc):
+    """A command's decision: its exit code and the error type it printed,
+    or ``ok``."""
+    for text in (proc.stdout, proc.stderr):
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and "error" in doc:
+            return [proc.returncode, doc["error"]]
+    return [proc.returncode, "ok"]
 
 
 CALLS = {
@@ -111,7 +131,8 @@ def suites():
 
 
 def certificates_and_solvers():
-    certs, solves = {}, {}
+    """The certificates, the solver outputs and the solver decisions."""
+    certs, solves, decisions = {}, {}, {}
     for dim in (6, 8, 32):
         for regime in K.REGIMES:
             for seed in (0, 1):
@@ -132,19 +153,22 @@ def certificates_and_solvers():
                         w=1e-10 * p.w, b=p.b, c=p.c, space=p.space)}
                 for vname, q in variants.items():
                     for cname, call in CALLS.items():
-                        solves[f"{key}.{vname}.{cname}"] = outcome(
+                        item = f"{key}.{vname}.{cname}"
+                        solves[item], decisions[item] = outcome(
                             lambda: call(inst, q))
-    return certs, solves
+    return certs, solves, decisions
 
 
 def cli():
-    out = {}
+    """The outputs and the decisions of the CLI commands."""
+    out, decisions = {}, {}
     env = dict(os.environ, PYTHONPATH=str(SRC))
 
     def run(key, args):
         proc = subprocess.run([sys.executable, "-m", "kreinls.cli"] + args,
                               env=env, capture_output=True, check=False)
         out[key] = [proc.returncode, sha(proc.stdout), sha(proc.stderr)]
+        decisions[key] = verdict(proc)
 
     rng = np.random.default_rng(7)
     with tempfile.TemporaryDirectory() as tmp:
@@ -173,13 +197,15 @@ def cli():
         dump_json({"dim": 2, "J": [[1, 0], [0, -1]], "W": [[1, 1], [0, 1]],
                    "B": [[1, 0], [0, 1]]}, bad)
         run("not_selfadjoint", ["ims", "-i", bad])
-    return out
+    return out, decisions
 
 
 def main():
     parts = {"suites": suites()}
-    parts["certificates"], parts["solvers"] = certificates_and_solvers()
-    parts["cli"] = cli()
+    parts["certificates"], parts["solvers"], solver_decisions = \
+        certificates_and_solvers()
+    parts["cli"], cli_decisions = cli()
+    parts["decisions"] = {"solvers": solver_decisions, "cli": cli_decisions}
     result = {name: sha(json.dumps(items, sort_keys=True))
               for name, items in parts.items()}
     if "--detail" in sys.argv[1:]:
