@@ -28,7 +28,7 @@ def _frozen(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KreinSpace:
     """Coordinate Krein space: dimension, reference signature, tolerance.
 
@@ -103,7 +103,7 @@ def validate_signature(j, g_ref, tol):
     return gj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignatureOperator:
     """A signature operator J' over the ambient space: J'^2 = I,
     J_ref·J' Hermitian positive definite, so <x,y>' = [J'x, y] is an

@@ -40,7 +40,7 @@ class GeneratorSpec:
             raise UnsatisfiableSpec("conditioning bound must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedInstance:
     problem: WeightedProblem
     subspace: Subspace

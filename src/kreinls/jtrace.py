@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
-from .linalg import (as_complex, crand, g_orthonormalize, opnorm, same_bits,
-                     scale_of)
+from .linalg import (as_complex, crand, g_orthonormalize, min_eig_herm,
+                     opnorm, same_bits, scale_of)
 from .lsq import (CertificateReport, SplitB, _f, _factor, _order_floor,
                   _sample_directions, _solve_imms, _split_b, eval_f, eval_fj,
                   solve_ims)
@@ -28,7 +28,7 @@ def as_signature(j, space):
     return SignatureOperator.from_matrix(as_complex(j), space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceReport:
     """J-trace value together with the trace-norm bound data."""
 
@@ -187,7 +187,7 @@ def frechet_fd(p, j, x, y, step=None, scheme="central"):
     return (f(x + h * y) - f(x)) / h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceMinSolution:
     x0: np.ndarray
     value: float
@@ -239,7 +239,7 @@ def solve_trace_min(p, j, seed=0, rank_tol=None):
                             gradient_certificate=grad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceMinMaxSolution:
     z: np.ndarray
     value: float
@@ -249,22 +249,22 @@ class TraceMinMaxSolution:
     split: SplitB
 
 
-def _saddle_floors(p, split):
+def _saddle_floors(fac, split, vh):
     """Exact floors of the two saddle sides around a normal solution Z.
 
     With R = BZ - C, B^#WR = 0 and R(B_+/-) ⊆ R(B) give, for any
     signature's split, F_J(X, Z) - F_J(Z, Z) = D^# (B_+^#WB_+) D and
     F_J(Z, Y) - F_J(Z, Z) = E^# (B_-^#WB_-) E.  The floors are the
     smallest eigenvalues of herm(J_ref B_+^#WB_+) and
-    herm(-J_ref B_-^#WB_-), each relative to ||B_+/-||^2 ||W||.
+    herm(-J_ref B_-^#WB_-), each relative to ||B_+/-||^2 ||W||.  With
+    B = S Σ V_k* (``vh`` = V_k*), B_+/- = G V_k* for G = B_+/- V_k, so
+    they are read on the k x k G* (J_ref W) G, with 0 when k < n.
     """
-    jw = p.space.j_ref @ p.w
-    wn = p.w_norm
-    # J_ref B^# W B = B* (J_ref W) B
-    plus, minus = split.b_plus, split.b_minus
-    return (_order_floor(plus.conj().T @ jw @ plus, opnorm(plus) ** 2 * wn),
-            _order_floor(-(minus.conj().T @ jw @ minus),
-                         opnorm(minus) ** 2 * wn))
+    vk, padded = vh.conj().T, vh.shape[0] < fac.space.dim
+    return tuple(_order_floor(min_eig_herm(sign * (g.conj().T @ fac.jw @ g)),
+                              opnorm(g) ** 2 * fac.norm, padded)
+                 for g, sign in ((split.b_plus @ vk, 1.0),
+                                 (split.b_minus @ vk, -1.0)))
 
 
 def solve_trace_minmax(p, j, rank_tol=None):
@@ -281,13 +281,14 @@ def solve_trace_minmax(p, j, rank_tol=None):
         and same_bits(as_complex(j), p.space.j_ref)
     sig = SignatureOperator.reference(p.space) if reference \
         else as_signature(j, p.space)
-    fac = _factor(p, rank_tol, reference=sig if reference else None)
+    factored = _factor(p, rank_tol, reference=sig if reference else None)
+    fac, _, vh = factored
     if not fac.complementable:
         raise NotComplementable("weight is not complementable for R(B)")
-    imms = _solve_imms(p, rank_tol, fac)
+    imms = _solve_imms(p, factored)
     value = float(np.trace(sig.entries @ imms.schur_value).real)
     split = _split_b(p, fac, sig)
-    min_floor, max_floor = _saddle_floors(p, split)
+    min_floor, max_floor = _saddle_floors(fac, split, vh)
     return TraceMinMaxSolution(z=imms.z, value=value, imms=imms,
                                saddle_min_floor=min_floor,
                                saddle_max_floor=max_floor, split=split)

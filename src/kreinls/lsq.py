@@ -17,10 +17,10 @@ from .errors import (InternalCertificateFailure, MalformedInput,
                      MinMaxUnsolvable, NormalEquationUnsolvable,
                      OperandOverflow, RangeNotNonnegative,
                      RangeNotNonpositive)
-from .linalg import (crand, excess, fro_norm, herm, min_eig_herm,
-                     numerical_rank, opnorm, pinv, within)
+from .linalg import (crand, excess, fro_norm, herm, numerical_rank, opnorm,
+                     within)
 from .schur import Factorization
-from .subspaces import WSplit, range_subspace
+from .subspaces import WSplit, range_subspace, svd_span
 
 
 # Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
@@ -30,7 +30,7 @@ from .subspaces import WSplit, range_subspace
 OPERAND_LIMIT = 1e300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedProblem:
     """The data (W, B, C) of min/max/min-max of (BX-C)^# W (BX-C).
 
@@ -82,9 +82,12 @@ def _problem_at(w, b, c, space, w_norm):
 
 
 def _factor(p, rank_tol, reference=None):
-    """The factorization of W relative to R(B), for one public call."""
-    return Factorization(p.w, p.range_b(rank_tol), p.space, rank_tol,
-                         norm=p.w_norm, reference=reference)
+    """(fac, sigma, vh) for one public call: the factorization of W
+    relative to S = R(B), and B = S diag(sigma) vh from R(B)'s own SVD
+    (up to the rank cutoff)."""
+    s, sigma, vh = svd_span(p.b, rank_tol)
+    return (Factorization(p.w, s, p.space, rank_tol, norm=p.w_norm,
+                          reference=reference), sigma, vh)
 
 
 def _f(p, x):
@@ -97,38 +100,44 @@ def eval_f(p, x):
     return _f(p, p.space.check_operator(x))
 
 
-def _normal_solve(p, target, rank_tol, target_norm=None):
-    """B^# W (BX - target) = 0 from one SVD of M = B^#WB.
+def _normal_solve(p, factored, target, target_norm=None):
+    """B^# W (BX - target) = 0 in R(B)'s coordinates.
 
-    Returns (outside, x, resid, sc, m, m_scale): the part of
-    N = B^#W target outside R(M) (the Douglas range test), the
-    minimal-norm solution pinv(M) N, its residual M x - N, the scale
-    ||B|| ||W|| ||target|| N was computed at, which callers judge both
-    against, M itself and ||B||^2 ||W||, the scale M was computed at.
+    With B = S Σ V_k* (``factored``) and R = S* (J_ref W), B^#W =
+    J_ref V_k Σ R: the equation is H (V_k* X) = Σ R target with
+    H = Σ (R S) Σ, and M = B^#WB = J_ref V_k H V_k*.  One eigh of
+    herm(H) = Q Λ Q* decides M's rank on |λ| (dim n, ||B||^2 ||W||).
+
+    Returns (outside, x, resid, sc, lam): the part of Σ R target outside
+    R(H), as large as N = B^#W target outside R(M) (the Douglas range
+    test); x = V_k Q_r Λ_r^{-1} Q_r* Σ R target = pinv(M) N; the k-row
+    residual Σ R (Bx - target), as large as B^#W (Bx - target); the
+    scale ||B|| ||W|| ||target|| N was computed at; and Λ.
     """
+    fac, sigma, vh = factored
     tn = opnorm(target) if target_norm is None else target_norm
-    bw = krein_adjoint(p.b, p.space) @ p.w
-    m, n = bw @ p.b, bw @ target
-    u, s, vh = np.linalg.svd(m)
-    m_scale = p.b_norm ** 2 * p.w_norm      # anchors M's rank decision
-    r = numerical_rank(s, p.space.dim, rank_tol, m_scale)
-    coef = u[:, :r].conj().T @ n
-    x = (vh[:r].conj().T / s[:r]) @ coef
-    return (n - u[:, :r] @ coef, x, m @ x - n,
-            p.b_norm * p.w_norm * tn, m, m_scale)
+    rhs = sigma[:, None] * (fac.rows @ target)
+    lam, q = np.linalg.eigh(herm(sigma[:, None] * fac.form * sigma))
+    order = np.argsort(np.abs(lam))[::-1]
+    kept = order[:numerical_rank(np.abs(lam[order]), p.space.dim,
+                                 fac.rank_tol, p.b_norm ** 2 * p.w_norm)]
+    coef = q[:, kept].conj().T @ rhs
+    x = vh.conj().T @ (q[:, kept] @ (coef / lam[kept, None]))
+    resid = sigma[:, None] * (fac.rows @ (p.b @ x - target))
+    return rhs - q[:, kept] @ coef, x, resid, p.b_norm * p.w_norm * tn, lam
 
 
 def normal_solvable(p, rank_tol=None):
     """Douglas range condition R(B^#WC) ⊆ R(B^#WB), as a predicate."""
-    outside, _, _, sc, _, _ = _normal_solve(p, p.c, rank_tol, p.c_norm)
+    outside, _, _, sc, _ = _normal_solve(p, _factor(p, rank_tol), p.c,
+                                         p.c_norm)
     return within(outside, p.space.tol * sc)
 
 
-def _solve_normal(p, rank_tol):
-    """solve_normal, also returning the normal residual M X0 - N of X0,
-    M = B^#WB and the scale M was computed at."""
-    outside, x0, resid, sc, m, m_scale = _normal_solve(p, p.c, rank_tol,
-                                                       p.c_norm)
+def _solve_normal(p, factored):
+    """solve_normal, also returning the k-row normal residual of X0 and
+    H's eigenvalues."""
+    outside, x0, resid, sc, lam = _normal_solve(p, factored, p.c, p.c_norm)
     if (violation := excess(outside, p.space.tol * sc)) is not None:
         raise NormalEquationUnsolvable(
             f"Douglas range condition fails (residual {violation:.3e})",
@@ -136,7 +145,7 @@ def _solve_normal(p, rank_tol):
     if (norm := excess(resid, p.space.tol * sc)) is not None:
         raise InternalCertificateFailure(
             f"normal equation residual {norm:.3e} after solvable test")
-    return x0, resid, m, m_scale
+    return x0, resid, lam
 
 
 def solve_normal(p, rank_tol=None):
@@ -145,7 +154,7 @@ def solve_normal(p, rank_tol=None):
     Solvability is the Douglas range condition R(B^#WC) ⊆ R(B^#WB);
     when it fails the violation residual is attached to the error.
     """
-    return _solve_normal(p, rank_tol)[0]
+    return _solve_normal(p, _factor(p, rank_tol))[0]
 
 
 def normal_residual(p, x):
@@ -203,7 +212,7 @@ def minimality_certificate(p, x0, n_samples=64, seed=0, sense="min"):
         violations=int((floors < -tol).sum()), tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImsSolution:
     """Indefinite minimum (or maximum) solution record."""
 
@@ -228,37 +237,42 @@ def _schur_value(p, fac, value, what):
     return schur_value, sc
 
 
-def _order_floor(h, scale):
-    """Smallest eigenvalue of herm(h) relative to ``scale``; 0 at scale 0
-    (the form is then exactly zero)."""
-    return min_eig_herm(h) / scale if scale > 0 else 0.0
+def _order_floor(low, scale, padded):
+    """The smallest eigenvalue ``low`` of a form read in k coordinates, or
+    0 when ``padded`` (k < n), relative to ``scale``; 0 at scale 0 (the
+    form is then exactly zero)."""
+    low = min(low, 0.0) if padded else low
+    return float(low) / scale if scale > 0 else 0.0
 
 
-def _exact_certificate(p, m, m_scale, sense):
+def _exact_certificate(p, lam, sense):
     """Exact order certificate at a solution X0 of the normal equation.
 
     There F(X0 + D) - F(X0) = D^# M D with M = B^#WB for every D, so the
-    floor over all D is the smallest eigenvalue of herm(J_ref M) (of
-    -M for the maximum), relative to ||B||^2 ||W||, the scale M was
-    computed at.
+    floor over all D is the smallest eigenvalue of herm(J_ref M) =
+    V_k herm(H) V_k*: of H's eigenvalues ``lam`` (of -lam for the
+    maximum), and 0 when k < n, relative to ||B||^2 ||W||, the scale M
+    was computed at.
     """
-    floor = _order_floor(p.space.j_ref @ (m if sense == "min" else -m),
-                         m_scale)
+    lam = lam if sense == "min" else -lam
+    floor = _order_floor(lam.min(initial=np.inf), p.b_norm ** 2 * p.w_norm,
+                         lam.size < p.space.dim)
     tol = p.space.tol
     return CertificateReport(n_samples=0, min_floor=floor,
                              violations=int(floor < -tol), tol=tol)
 
 
 def _solve_extremal(p, sense, rank_tol):
-    fac = _factor(p, rank_tol)
+    factored = _factor(p, rank_tol)
+    fac = factored[0]
     if sense == "min" and not fac.nonnegative:
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
     if sense == "max" and not fac.nonpositive:
         raise RangeNotNonpositive("R(B) is not W-nonpositive")
-    x0, resid, m, m_scale = _solve_normal(p, rank_tol)
+    x0, resid, lam = _solve_normal(p, factored)
     value = eval_f(p, x0)
     schur_value, _ = _schur_value(p, fac, value, "extremal value")
-    cert = _exact_certificate(p, m, m_scale, sense)
+    cert = _exact_certificate(p, lam, sense)
     if not cert.passed:
         raise InternalCertificateFailure(
             f"{sense} certificate violated: floor {cert.min_floor:.3e}")
@@ -293,9 +307,10 @@ def solve_wils_vector(p, y, rank_tol=None):
     Same normal equation, one right-hand side; minimal-norm z returned.
     """
     y = p.space.check_vector(y)
-    if not _factor(p, rank_tol).nonnegative:
+    factored = _factor(p, rank_tol)
+    if not factored[0].nonnegative:
         raise RangeNotNonnegative("R(B) is not W-nonnegative")
-    outside, z, _, sc, _, _ = _normal_solve(p, y[:, None], rank_tol)
+    outside, z, _, sc, _ = _normal_solve(p, factored, y[:, None])
     if (violation := excess(outside, p.space.tol * sc)) is not None:
         raise NormalEquationUnsolvable(
             f"no weighted solution for this right-hand side "
@@ -309,7 +324,7 @@ def wils_objective(p, z, y):
     return complex(np.vdot(r, p.space.j_ref @ p.w @ r))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitB:
     """B = B_+ + B_- with W-nonnegative/W-nonpositive closed ranges,
     orthogonal in the splitting signature's inner product."""
@@ -333,7 +348,7 @@ def split_b(p, signature=None, rank_tol=None):
     """
     if signature is None:
         signature = SignatureOperator.reference(p.space)
-    return _split_b(p, _factor(p, rank_tol), signature)
+    return _split_b(p, _factor(p, rank_tol)[0], signature)
 
 
 def _split_b(p, fac, signature):
@@ -357,7 +372,7 @@ def eval_fj(p, split, x, y):
                p.space.check_operator(y))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImmsSolution:
     """Indefinite min-max solution Z = Z1 + Z2 (canonical Z2 = 0)."""
 
@@ -375,14 +390,14 @@ def solve_imms(p, rank_tol=None):
     complementable the value is checked against both closed forms
     C^# W_{/[R(B)]} C and C^# W (I - Q) C.
     """
-    return _solve_imms(p, rank_tol)
+    return _solve_imms(p, _factor(p, rank_tol))
 
 
-def _solve_imms(p, rank_tol, fac=None):
-    """solve_imms, given the factorization of W relative to R(B) when the
-    caller has one."""
+def _solve_imms(p, factored):
+    """solve_imms, given ``_factor``'s (fac, sigma, vh)."""
+    fac = factored[0]
     try:
-        z1 = solve_normal(p, rank_tol)
+        z1 = _solve_normal(p, factored)[0]
     except NormalEquationUnsolvable as exc:
         raise MinMaxUnsolvable(
             f"range condition R(C) ⊆ R(B) + W^-1(R(B)^[perp]) fails "
@@ -390,9 +405,6 @@ def _solve_imms(p, rank_tol, fac=None):
     z2 = np.zeros_like(z1)
     z = z1 + z2
     value = eval_f(p, z)
-
-    if fac is None:
-        fac = _factor(p, rank_tol)
     schur_value, sc = _schur_value(p, fac, value, "min-max value")
     if schur_value is not None:
         via_q = krein_adjoint(p.c, p.space) @ p.w \
@@ -407,15 +419,16 @@ def _solve_imms(p, rank_tol, fac=None):
 def neutral_shift(p, seed, rank_tol=None):
     """A Z2 with (B Z2)^# W (B Z2) = 0: maps into the W-neutral directions
     of R(B).  Zero when the compressed form has no kernel."""
-    fac = _factor(p, rank_tol)
+    fac, sigma, vh = _factor(p, rank_tol)
     lam, vec = np.linalg.eigh(herm(fac.form))
     kernel = vec[:, np.abs(lam) <= p.space.tol * p.w_norm]
     if kernel.shape[1] == 0:
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)
     rng = np.random.default_rng(seed)
-    targets = fac.s.frame @ kernel      # neutral directions inside R(B)
-    mix = crand(rng, targets.shape[1], p.space.dim)
-    return pinv(p.b, rank_tol) @ (targets @ mix)
+    # neutral directions S kernel inside R(B), pulled back by
+    # pinv(B) = V_k Σ^-1 S*
+    mix = crand(rng, kernel.shape[1], p.space.dim)
+    return vh.conj().T @ ((kernel @ mix) / sigma[:, None])
 
 
 @dataclass(frozen=True)

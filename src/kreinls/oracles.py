@@ -19,7 +19,7 @@ from .subspaces import (_projection_stacks, is_w_nonnegative,
                         symmetric_projection)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InfimumOracleResult:
     """Best sampled E^# W E and the running trace history (monotone
     nonincreasing by construction)."""
@@ -55,7 +55,7 @@ def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
                                n_samples=len(history))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     value: float
     mode: str

@@ -62,7 +62,7 @@ def decode_matrix(obj, where, rows=None, cols=None):
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemData:
     """Parsed problem file: the space plus whichever operators were
     present.  W is read-only: parse_problem keeps the ||W|| its

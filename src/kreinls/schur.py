@@ -23,12 +23,12 @@ from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
 from .linalg import (Norm, excess, generalized_eigh, herm,
                      herm_sign_and_root, g_orthonormalize, min_eig_herm,
-                     null_frame, opnorm, orth_frame, same_bits, within)
+                     null_frame, opnorm, orth_frame, within)
 from .subspaces import (Subspace, WSplit, _complement_within,
-                        _projection_stacks, oblique_projection, preimage)
+                        _projection_stacks, oblique_projection)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """Blocks of the weight form relative to S and the signature's inner
     product: a on S, c on the complement, b the coupling."""
@@ -70,7 +70,7 @@ def is_weakly_complementable(w, s, space, rank_tol=None):
                          reference=reference).weakly_complementable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurResult:
     """Schur complement W_{/[S]}, compression W_{[S]} = W - W_{/[S]},
     and the block certificate (reduced solution f, polar isometry u)."""
@@ -104,9 +104,10 @@ class Factorization:
     complementability (H = S + T), the blocks [[a, b], [b*, c]] and the
     Schur complement W_{/[S]}, the W-symmetric projection Q and the split
     S_+ [+] S_-.  Each is computed on first use and then kept.  Each
-    subspace question takes one SVD: S^perp is the one ``from_span`` kept
-    (or of S* for a given frame), and dim(S + T) and the S ∩ T that Q's
-    kernel needs come from one SVD of [F_S, -F_T].
+    subspace question takes one kernel: S^perp is the one ``from_span``
+    kept (or a QR of a given frame), T the kernel of the k x n rows
+    R = S* (J_ref W), and dim(S + T) and the S ∩ T that Q's kernel needs
+    come from one SVD of [F_S, -F_T].
 
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
@@ -153,9 +154,16 @@ class Factorization:
         return Subspace(self.space.j_ref @ self._coordinate_complement)
 
     @cached_property
+    def rows(self):
+        """R = S* (J_ref W), k x n."""
+        return self.s.frame.conj().T @ self.jw
+
+    @cached_property
     def preimage(self):
-        """W^{-1}(S^[perp])."""
-        return preimage(self.w, self.companion, self.rank_tol, self.norm)
+        """W^{-1}(S^[perp]) = N(R), decided on R's singular values at dim
+        n and ||W||: (I - P_{S^[perp]}) W = (J_ref S) R, J_ref S isometric."""
+        return Subspace(null_frame(self.rows, self.rank_tol,
+                                   context=self.norm))
 
     @cached_property
     def _meet(self):
@@ -173,8 +181,8 @@ class Factorization:
 
     @cached_property
     def form(self):
-        """The compressed form S* (J_ref W) S."""
-        return self.s.frame.conj().T @ self.jw @ self.s.frame
+        """The compressed form S* (J_ref W) S = R S."""
+        return self.rows @ self.s.frame
 
     @cached_property
     def nonnegative(self):
@@ -189,24 +197,21 @@ class Factorization:
     def blocks_under(self, signature):
         """The blocks of the weight form relative to S in the signature's
         inner product (see block_decompose)."""
-        g = signature.gram
-        f = self.s.frame
-        u = g_orthonormalize(f, g)
-        if f.shape[1] == 0:
-            v = g_orthonormalize(np.eye(self.space.dim, dtype=complex), g)
+        g, f, jw = signature.gram, self.s.frame, self.jw
+        # the reference Gram of a diagonal J_ref is I (by value: J_ref J_ref
+        # may hold -0.0), and then S and S^perp are already orthonormal
+        if np.array_equal(g, np.eye(self.space.dim)):
+            u, v = f, self._coordinate_complement
+            a, b = herm(self.form), self.rows @ v
         else:
-            rows = f.conj().T @ g
-            # the reference Gram of a diagonal J_ref is exactly I: then
-            # these rows are S*'s and their kernel is S's own complement
-            if self.rank_tol is None and same_bits(rows, f.conj().T):
-                v = g_orthonormalize(self._coordinate_complement, g)
-            else:
-                v = g_orthonormalize(null_frame(rows, self.rank_tol), g)
-        jw = self.jw
-        return BlockDecomposition(
-            a=herm(u.conj().T @ jw @ u), b=u.conj().T @ jw @ v,
-            c=herm(v.conj().T @ jw @ v),
-            basis_s=u, basis_sperp=v, signature=signature)
+            u = g_orthonormalize(f, g)
+            v = g_orthonormalize(null_frame(f.conj().T @ g, self.rank_tol)
+                                 if f.shape[1] else np.eye(self.space.dim),
+                                 g)
+            a, b = herm(u.conj().T @ jw @ u), u.conj().T @ jw @ v
+        return BlockDecomposition(a=a, b=b, c=herm(v.conj().T @ jw @ v),
+                                  basis_s=u, basis_sperp=v,
+                                  signature=signature)
 
     @cached_property
     def blocks(self):

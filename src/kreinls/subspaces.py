@@ -19,7 +19,7 @@ from .linalg import (as_complex, crand, min_eig_herm, null_frame,
                      numerical_rank, opnorm, within)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A closed subspace: a read-only copy of an orthonormal column frame,
     and the coordinate complement when ``from_span``'s SVD gave it."""
@@ -35,12 +35,7 @@ class Subspace:
     def from_span(cls, a, rank_tol=None):
         """Subspace spanned by the columns of ``a`` (any matrix): the left
         singular vectors up to the numerical rank, the rest kept as S^perp."""
-        a = as_complex(a)
-        u, s, _ = np.linalg.svd(a)
-        r = numerical_rank(s, max(a.shape), rank_tol)
-        span = cls(u[:, :r])
-        object.__setattr__(span, "_complement", _frozen(u[:, r:]))
-        return span
+        return svd_span(a, rank_tol)[0]
 
     @classmethod
     def zero(cls, dim):
@@ -71,9 +66,26 @@ class Subspace:
         return within(resid, tol, v)
 
     def coordinate_complement(self, rank_tol=None):
-        if rank_tol is None and self._complement is not None:
+        """S^perp: the one ``from_span`` kept, else the trailing columns of
+        a complete QR of the frame (the kernel of S* at a given rank_tol)."""
+        if rank_tol is not None:
+            return Subspace(null_frame(self.frame.conj().T, rank_tol))
+        if self._complement is not None:
             return Subspace(self._complement)
-        return Subspace(null_frame(self.frame.conj().T, rank_tol))
+        return Subspace(np.linalg.qr(self.frame, mode="complete")[0]
+                        [:, self.dim:])
+
+
+def svd_span(a, rank_tol=None):
+    """(R(a), sigma, vh) from one SVD of ``a``: R(a) keeps the left
+    singular vectors past the rank as its complement, and
+    a = R(a) diag(sigma) vh up to the rank cutoff."""
+    a = as_complex(a)
+    u, s, vh = np.linalg.svd(a)
+    r = numerical_rank(s, max(a.shape), rank_tol)
+    span = Subspace(u[:, :r])
+    object.__setattr__(span, "_complement", _frozen(u[:, r:]))
+    return span, s[:r], vh[:r]
 
 
 def range_subspace(b, rank_tol=None):
@@ -104,7 +116,7 @@ def preimage(a, t, rank_tol=None, norm=None):
                                context=opnorm(a) if norm is None else norm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WSplit:
     """Decomposition S = S_+ [+]_W S_- into a W-nonnegative and a
     W-nonpositive part, orthogonal in the inner product of the signature

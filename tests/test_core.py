@@ -199,3 +199,28 @@ def test_constructors_copy_inputs_read_only():
     assert_allclose(space.j_ref, j / 2.0)
     assert_allclose(p.w, w / 2.0)
     assert (p.w_norm, p.b_norm, p.c_norm) == (w_norm, b_norm, c_norm)
+
+
+def test_records_holding_arrays_compare_by_identity():
+    """== and hash neither raise on the array fields nor compare them:
+    two records built from the same arrays are distinct objects."""
+    from kreinls import (GeneratorSpec, generate_instance, parse_problem,
+                         problem_to_dict, solve_imms)
+
+    p = generate_instance(GeneratorSpec(dim=4, seed=0,
+                                        regime="range_nonnegative")).problem
+    frame = np.eye(3, dtype=complex)[:, :2]
+    pairs = [
+        (Subspace(frame), Subspace(frame)),
+        (WeightedProblem(w=p.w, b=p.b, c=p.c, space=p.space),
+         WeightedProblem(w=p.w, b=p.b, c=p.c, space=p.space)),
+        (standard_space(1, 1), standard_space(1, 1)),
+        (SignatureOperator.reference(p.space),
+         SignatureOperator.reference(p.space)),
+        (parse_problem(problem_to_dict(problem=p)),
+         parse_problem(problem_to_dict(problem=p))),
+        (solve_imms(p), solve_imms(p)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b and not (a == b)
+        assert len({a, b}) == 2

@@ -12,6 +12,7 @@ from kreinls import (REGIMES, GeneratorSpec, KreinError, SignatureOperator,
                      range_subspace, schur_complement, solve_ims, solve_imms,
                      solve_trace_minmax)
 from kreinls.linalg import herm, hpd_sqrt
+from kreinls.schur import Factorization
 
 # The numpy.linalg kernels kreinls calls; spectral norms reach ``svd``
 # inside the module that defines numpy's ``norm``.
@@ -89,6 +90,35 @@ def test_the_complement_of_the_range_comes_from_its_svd(regime, call,
         assert not on_rows, f"seed {seed}: an SVD of S*"
 
 
+@pytest.mark.parametrize("call", ["solve_ims", "solve_imms",
+                                  "solve_trace_minmax"])
+def test_an_accepted_solve_runs_two_n_by_n_kernels(call, kernel_log):
+    """At dim 32 the only SVD, eigh or eigvalsh whose input has n rows and
+    n columns or more is the SVD of B and the meet's SVD of [F_S, -F_T]:
+    the normal equation, its certificate, the preimage, the blocks and
+    the saddle floors are all asked in R(B)'s k coordinates."""
+    n, accepted = 32, 0
+    for regime in REGIMES:
+        for seed in (0, 1, 2):
+            inst = generate_instance(GeneratorSpec(dim=n, seed=seed,
+                                                   regime=regime))
+            p = inst.problem
+            kernel_log.clear()
+            try:
+                CALLS[call](inst, p)
+            except KreinError:
+                continue
+            accepted += 1
+            big = [(name, data) for name, _, _, _, shape, data in kernel_log
+                   if shape[-2] >= n and shape[-1] >= n]
+            fac = Factorization(p.w, range_subspace(p.b), p.space)
+            assert fac.s.dim < n
+            meet = np.hstack([fac.s.frame, -fac.preimage.frame])
+            assert big == [("svd", p.b.tobytes()),
+                           ("svd", meet.tobytes())], f"{regime} {seed}"
+    assert accepted >= 6
+
+
 def test_factorization_lives_for_one_call():
     """The solvers leave no array beyond the operands on the problem or
     the space, so nothing dim x dim outlives the call."""
@@ -104,8 +134,6 @@ def test_factorization_lives_for_one_call():
 
 
 def test_factorization_is_immutable_and_matches_the_wrappers():
-    from kreinls.schur import Factorization
-
     inst = generate_instance(GeneratorSpec(dim=6, seed=2,
                                            regime="complementable"))
     p, s = inst.problem, inst.subspace

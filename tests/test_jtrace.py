@@ -17,7 +17,7 @@ from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
                      verify_trace_laws)
 from kreinls import jtrace, lsq
 from kreinls.jtrace import _saddle_floors, _scalar_floor_certificate
-from kreinls.lsq import _fj, solve_normal, split_b
+from kreinls.lsq import _factor, _fj, solve_normal, split_b
 from kreinls.linalg import opnorm
 from kreinls.suites import _trace_saddle_floors
 
@@ -259,7 +259,8 @@ def test_exact_saddle_identities(regime):
                     assert opnorm(gap - krein_adjoint(d, p.space) @ m @ d) \
                         <= 1e-12 * scale
             if verify_saddle(p, split, z, 1000, seed).passed:
-                assert min(_saddle_floors(p, split)) >= -p.space.tol
+                fac, _, vh = _factor(p, None)
+                assert min(_saddle_floors(fac, split, vh)) >= -p.space.tol
 
 
 def test_solvers_do_not_sample(monkeypatch):

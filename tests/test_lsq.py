@@ -18,7 +18,7 @@ from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
                      wils_objective)
 from kreinls.core import krein_sandwich
 from kreinls.linalg import min_eig_herm, opnorm
-from kreinls.lsq import (OPERAND_LIMIT, _exact_certificate, _fj,
+from kreinls.lsq import (OPERAND_LIMIT, _exact_certificate, _factor, _fj,
                          _normal_solve)
 
 
@@ -358,9 +358,9 @@ def test_exact_certificate_agrees_with_sampled(regime):
     for seed, p in enumerate(regime_problems(regime)):
         if not normal_solvable(p):
             continue
-        _, x0, _, _, m, m_scale = _normal_solve(p, p.c, None)
+        _, x0, _, _, lam = _normal_solve(p, _factor(p, None), p.c)
         for sense in ("min", "max"):
-            exact = _exact_certificate(p, m, m_scale, sense)
+            exact = _exact_certificate(p, lam, sense)
             sampled = minimality_certificate(p, x0, 1000, seed, sense)
             assert exact.passed == sampled.passed
 

@@ -69,10 +69,22 @@ def test_an_explicit_rank_tol_recomputes_the_complement():
     for tol in (1e-9, 1e-3):
         comp = s.coordinate_complement(rank_tol=tol).frame
         assert np.array_equal(comp, null_frame(s.frame.conj().T, tol))
+
+def test_a_given_frame_takes_its_complement_from_a_complete_qr():
+    """The trailing columns of the QR of a frame without a stored
+    complement: orthonormal, and the span the kernel of S* gives."""
+    s = Subspace.from_span(crandn(np.random.default_rng(1), 6, 3))
     given = Subspace(s.frame)
     assert given._complement is None
-    assert np.array_equal(given.coordinate_complement().frame,
-                          null_frame(s.frame.conj().T))
+    comp = given.coordinate_complement().frame
+    assert np.array_equal(comp, np.linalg.qr(s.frame, mode="complete")[0]
+                          [:, 3:])
+    assert opnorm(comp.conj().T @ comp - np.eye(3)) <= 1e-13
+    ref = null_frame(s.frame.conj().T)
+    assert opnorm(comp @ comp.conj().T - ref @ ref.conj().T) <= 1e-13
+    for k in (0, 6):
+        frame = np.eye(6, dtype=complex)[:, :k]
+        assert Subspace(frame).coordinate_complement().dim == 6 - k
 
 
 def test_a_frame_cannot_be_given_a_complement():
