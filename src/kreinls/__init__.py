@@ -33,7 +33,8 @@ from .lsq import (CertificateReport, ImmsSolution, ImsSolution, SaddleReport,
                   solve_normal, solve_wils_vector, split_b, verify_saddle,
                   wils_objective)
 from .oracles import (InfimumOracleResult, SweepResult, minmax_order_gap,
-                      oracle_parameter_sweep, oracle_projection_infimum)
+                      oracle_parameter_sweep, oracle_projection_infimum,
+                      oracle_sum_dimension)
 from .problem_io import (ProblemData, dump_json, load_operator, load_problem,
                          parse_problem, problem_to_dict)
 from .schur import (BlockDecomposition, ProjectionInfimumReport, SchurResult,

@@ -229,10 +229,21 @@ def build_parser():
     return parser
 
 
+def _check_flags(args):
+    """MalformedInput naming the first numeric flag below its least value."""
+    for name, least in (("seed", 0), ("alt_signature", 0), ("instances", 1),
+                        ("dim", 2), ("cond_bound", 1.0)):
+        value = getattr(args, name, None)
+        if value is not None and not value >= least:
+            flag = "--" + name.replace("_", "-")
+            raise MalformedInput(f"{flag}: must be >= {least}, got {value}")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except MalformedInput as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -15,6 +15,7 @@ from .core import standard_space
 from .errors import InternalCertificateFailure, UnsatisfiableSpec
 from .linalg import crand, herm, opnorm, orth_frame
 from .lsq import WeightedProblem
+from .oracles import oracle_sum_dimension
 from .schur import Factorization
 from .subspaces import Subspace
 
@@ -36,8 +37,10 @@ class GeneratorSpec:
             raise UnsatisfiableSpec(
                 "structured regimes need dim >= 2 (signature must carry "
                 "both signs)")
-        if self.cond_bound < 1.0:
+        if not self.cond_bound >= 1.0:     # NaN included
             raise UnsatisfiableSpec("conditioning bound must be >= 1")
+        if self.seed < 0:
+            raise UnsatisfiableSpec("seed must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,8 +178,9 @@ def _certify(gspec, problem, subspace, a_eigs, degenerate):
         "subspace_dim": subspace.dim,
         "a_eigenvalues": [float(x) for x in a_eigs],
         "degenerate_block": bool(degenerate),
-        "complementable": fac.complementable,
-        "weakly_complementable": fac.weakly_complementable,
+        "complementable":
+            oracle_sum_dimension(problem, subspace) == space.dim,
+        "weakly_complementable": fac.complementable,
         "range_nonnegative": fac.nonnegative,
         "range_nonpositive": fac.nonpositive,
     }
@@ -199,5 +203,5 @@ def _certify(gspec, problem, subspace, a_eigs, degenerate):
             f"{cert}")
     if cert["complementable"] != cert["weakly_complementable"]:
         raise InternalCertificateFailure(
-            "complementability predicates disagree on a generated instance")
+            "complementability disagrees with the oracle's dim(S + T)")
     return cert

@@ -156,29 +156,30 @@ def pinv(a, rank_tol=None, context=0.0):
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def herm_sign_and_root(a, rank_tol=None, context=0.0):
-    """Polar data of a Hermitian matrix: (u, |a|^{1/2}, pinv(|a|^{1/2})).
+def kept_eigenvalues(lam, rank_tol=None, context=0.0):
+    """Mask of the eigenvalues of a k x k Hermitian matrix that its rank
+    keeps: the largest |lam| (its singular values), by numerical_rank at
+    dim k and the context."""
+    absw, kept = np.abs(lam), np.zeros(len(lam), dtype=bool)
+    order = np.argsort(absw)[::-1]
+    kept[order[:numerical_rank(absw[order], len(lam), rank_tol,
+                               context)]] = True
+    return kept
 
-    ``u`` is sign(a) on R(a) and zero on N(a), matching the partial
-    isometry convention N(u) = N(a).
-    """
-    a = as_complex(a)
-    k = a.shape[0]
-    if k == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return z, z.copy(), z.copy()
-    w, q = np.linalg.eigh(herm(a))
-    absw = np.abs(w)
-    r_mask = np.zeros(k, dtype=bool)
-    if max(absw.max(), context) > 0:
-        order = np.argsort(absw)[::-1]
-        rank = numerical_rank(absw[order], k, rank_tol, context)
-        r_mask[order[:rank]] = True
-    sgn = np.where(r_mask, np.sign(w), 0.0)
-    root = np.sqrt(absw) * r_mask
-    rootinv = np.divide(1.0, np.sqrt(absw), out=np.zeros(k), where=r_mask)
-    u = (q * sgn) @ q.conj().T
-    return u, (q * root) @ q.conj().T, (q * rootinv) @ q.conj().T
+
+def sign_and_root(lam, q, kept):
+    """Polar data (u, |a|^{1/2}, pinv(|a|^{1/2})) of a = q diag(lam) q*
+    of rank ``kept``: u is sign(a) on R(a) and zero on N(a) = N(u)."""
+    root = np.sqrt(np.abs(lam))
+    rootinv = np.divide(1.0, root, out=np.zeros(len(lam)), where=kept)
+    return tuple((q * d) @ q.conj().T for d in
+                 (np.where(kept, np.sign(lam), 0.0), root * kept, rootinv))
+
+
+def herm_sign_and_root(a, rank_tol=None, context=0.0):
+    """sign_and_root of a Hermitian matrix, from one eigh."""
+    lam, q = np.linalg.eigh(herm(as_complex(a)))
+    return sign_and_root(lam, q, kept_eigenvalues(lam, rank_tol, context))
 
 
 def hpd_sqrt(g):

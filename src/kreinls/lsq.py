@@ -420,7 +420,7 @@ def neutral_shift(p, seed, rank_tol=None):
     """A Z2 with (B Z2)^# W (B Z2) = 0: maps into the W-neutral directions
     of R(B).  Zero when the compressed form has no kernel."""
     fac, sigma, vh = _factor(p, rank_tol)
-    lam, vec = np.linalg.eigh(herm(fac.form))
+    lam, vec = fac.spectrum
     kernel = vec[:, np.abs(lam) <= p.space.tol * p.w_norm]
     if kernel.shape[1] == 0:
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)

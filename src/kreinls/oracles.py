@@ -1,9 +1,10 @@
 """Independent brute-force oracles.
 
 These corroborate the closed-form solver values without touching the
-Schur-complement machinery: projection sampling for the shorted-operator
-infimum, a dense real grid for tiny problems, and alternating least
-squares sweeps (cyclic exact column updates) for the trace objectives.
+Schur-complement machinery: a dimension count for complementability,
+projection sampling for the shorted-operator infimum, a dense real grid
+for tiny problems, and alternating least squares sweeps (cyclic exact
+column updates) for the trace objectives.
 """
 
 from dataclasses import dataclass, field
@@ -13,10 +14,23 @@ import numpy as np
 
 from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
-from .linalg import pinv
+from .linalg import null_frame, pinv
 from .lsq import split_b
 from .subspaces import (_projection_stacks, is_w_nonnegative,
                         symmetric_projection)
+
+
+def oracle_sum_dimension(p, s, rank_tol=None):
+    """dim(S + T) for p's weight W and T = W^{-1}(S^[perp]) = N(S* J_ref W),
+    its rank decided at dim n and ||W||, from one SVD of [F_S, -F_T]: a
+    null vector [x; y] has F_S x = F_T y, so the nullity is dim(S ∩ T).
+    W is complementable for S when the count is the dimension, which the
+    harness checks the library's range test R(b) ⊆ R(a) against."""
+    f = s.frame
+    t = null_frame(f.conj().T @ (p.space.j_ref @ p.w), rank_tol,
+                   context=p.w_norm)
+    null = null_frame(np.hstack([f, -t]), rank_tol, context=1.0)
+    return f.shape[1] + t.shape[1] - null.shape[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Indefinite Schur complement machinery.
 
 The factorization of a weight relative to a subspace (``Factorization``),
-the block decomposition, the weak complementability test, the
+the block decomposition, the complementability test, the
 Anderson-Trapp style Schur complement with its certificates, the
 three-term decomposition W = W1 + W2 - W3, and the report-producing
 identity checks.
@@ -22,10 +22,9 @@ from .core import (SignatureOperator, krein_sandwich,
 from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable, RangeNotNonnegative)
 from .linalg import (Norm, excess, generalized_eigh, herm,
-                     herm_sign_and_root, g_orthonormalize, min_eig_herm,
-                     null_frame, opnorm, orth_frame, within)
-from .subspaces import (Subspace, WSplit, _complement_within,
-                        _projection_stacks, oblique_projection)
+                     herm_sign_and_root, g_orthonormalize, kept_eigenvalues,
+                     min_eig_herm, null_frame, opnorm, sign_and_root, within)
+from .subspaces import Subspace, WSplit, _projection_stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +58,9 @@ def block_decompose(w, s, signature, space, rank_tol=None):
 
 
 def is_weakly_complementable(w, s, space, rank_tol=None):
-    """Range inclusion R(b) ⊆ R(a) for the reference-signature blocks.
-
-    At finite dimension R(|a|^{1/2}) = R(a), so this is the full weak
-    complementability test; it must (and, per the cross-check suites,
-    does) agree with the dimension-count test of is_complementable.
-    """
-    reference = SignatureOperator.reference(space)
-    return Factorization(w, s, space, rank_tol,
-                         reference=reference).weakly_complementable
+    """R(b) ⊆ R(|a|^{1/2}) for the reference blocks: in finite dimension
+    R(|a|^{1/2}) = R(a), so this is the predicate ``is_complementable``."""
+    return Factorization(w, s, space, rank_tol).complementable
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +92,13 @@ def schur_complement(w, s, space, signature=None, rank_tol=None):
 class Factorization:
     """The weight W relative to a subspace S, factored once.
 
-    Every (W, S) question of the paper comes from this one object: the
-    companion S^[perp], the preimage T = W^{-1}(S^[perp]) and
-    complementability (H = S + T), the blocks [[a, b], [b*, c]] and the
-    Schur complement W_{/[S]}, the W-symmetric projection Q and the split
-    S_+ [+] S_-.  Each is computed on first use and then kept.  Each
-    subspace question takes one kernel: S^perp is the one ``from_span``
-    kept (or a QR of a given frame), T the kernel of the k x n rows
-    R = S* (J_ref W), and dim(S + T) and the S ∩ T that Q's kernel needs
-    come from one SVD of [F_S, -F_T].
+    Every (W, S) question of the paper comes from this one object, each
+    computed on first use and then kept: the companion S^[perp], the
+    blocks [[a, b], [b*, c]] on (S, S^perp), complementability, the Schur
+    complement W_{/[S]}, the W-symmetric projection Q and the split
+    S_+ [+] S_-.  S^perp is the one ``from_span`` kept (or a QR of a given
+    frame).  One eigh of the compressed form a answers the rest: its
+    signs, its rank, R(b) ⊆ R(a), a^† for Q and the Schur polar root.
 
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
@@ -159,40 +150,42 @@ class Factorization:
         return self.s.frame.conj().T @ self.jw
 
     @cached_property
-    def preimage(self):
-        """W^{-1}(S^[perp]) = N(R), decided on R's singular values at dim
-        n and ||W||: (I - P_{S^[perp]}) W = (J_ref S) R, J_ref S isometric."""
-        return Subspace(null_frame(self.rows, self.rank_tol,
-                                   context=self.norm))
-
-    @cached_property
-    def _meet(self):
-        """(dim(S + T), S ∩ T): null vectors [a; b] of [F_S, -F_T] have
-        F_S a = F_T b, so a*a = b*b = I/2 and sqrt(2) F_S a is orthonormal."""
-        s, t = self.s.frame, self.preimage.frame
-        k = s.shape[1]
-        null = null_frame(np.hstack([s, -t]), self.rank_tol, context=1.0)
-        return k + t.shape[1] - null.shape[1], np.sqrt(2) * (s @ null[:k])
-
-    @cached_property
-    def complementable(self):
-        """H = S + W^{-1}(S^[perp])?"""
-        return self._meet[0] == self.space.dim
-
-    @cached_property
     def form(self):
         """The compressed form S* (J_ref W) S = R S."""
         return self.rows @ self.s.frame
 
+    # a = herm(R S), b = R S^perp, one eigh (lam ascending, vec) of a, and
+    # the eigenvalues that a's rank, decided at dim k and ||W||, keeps
+    _a = cached_property(lambda self: herm(self.form))
+    _coupling = cached_property(
+        lambda self: self.rows @ self._coordinate_complement)
+    spectrum = cached_property(lambda self: np.linalg.eigh(self._a))
+    kept = cached_property(lambda self: kept_eigenvalues(
+        self.spectrum[0], self.rank_tol, self.norm))
+
     @cached_property
     def nonnegative(self):
         """[Wx, x] >= 0 on S (compressed form PSD within tol)?"""
-        return min_eig_herm(self.form) >= -self.space.tol * self.norm
+        lam = self.spectrum[0]
+        return not lam.size or float(lam[0]) >= -self.space.tol * self.norm
 
     @cached_property
     def nonpositive(self):
         """[Wx, x] <= 0 on S (compressed form NSD within tol)?"""
-        return min_eig_herm(-self.form) >= -self.space.tol * self.norm
+        lam = self.spectrum[0]
+        return not lam.size or -float(lam[-1]) >= -self.space.tol * self.norm
+
+    @cached_property
+    def complementable(self):
+        """H = S + W^{-1}(S^[perp])?  That is R(b) ⊆ R(a): the Douglas
+        residual of b against a's kept eigenvectors."""
+        b, tol = self._coupling, self.space.tol
+        bn = Norm(b)
+        if bn.high <= tol * self.norm:
+            return True     # coupling block vanishes at the weight's scale
+        ra = self.spectrum[1][:, self.kept]
+        return within(b - ra @ (ra.conj().T @ b), tol, bn) \
+            or within(bn, tol * self.norm)
 
     def blocks_under(self, signature):
         """The blocks of the weight form relative to S in the signature's
@@ -202,7 +195,7 @@ class Factorization:
         # may hold -0.0), and then S and S^perp are already orthonormal
         if np.array_equal(g, np.eye(self.space.dim)):
             u, v = f, self._coordinate_complement
-            a, b = herm(self.form), self.rows @ v
+            a, b = self._a, self._coupling
         else:
             u = g_orthonormalize(f, g)
             v = g_orthonormalize(null_frame(f.conj().T @ g, self.rank_tol)
@@ -219,17 +212,6 @@ class Factorization:
         return self.blocks_under(self.reference)
 
     @cached_property
-    def weakly_complementable(self):
-        """R(b) ⊆ R(a) for the reference blocks?"""
-        a, b = self.blocks.a, self.blocks.b
-        bn, tol = Norm(b), self.space.tol
-        if bn.high <= tol * self.norm:
-            return True     # coupling block vanishes at the weight's scale
-        ra = orth_frame(a, self.rank_tol, context=self.norm)
-        return within(b - ra @ (ra.conj().T @ b), tol, bn) \
-            or within(bn, tol * self.norm)
-
-    @cached_property
     def schur(self):
         """The checked SchurResult from the reference blocks."""
         return self.schur_under(self.reference, self.blocks)
@@ -239,8 +221,10 @@ class Factorization:
         space, s, wn = self.space, self.s, self.norm
         if blocks is None:
             blocks = self.blocks_under(signature)
-        u, root, rootinv = herm_sign_and_root(blocks.a, self.rank_tol,
-                                              context=wn)
+        # the reference blocks' a is the compressed form: read its spectrum
+        u, root, rootinv = \
+            sign_and_root(*self.spectrum, self.kept) if blocks.a is self._a \
+            else herm_sign_and_root(blocks.a, self.rank_tol, context=wn)
         f = rootinv @ blocks.b
         bn = Norm(blocks.b)     # taken exactly only if a check needs it
         if not bn.high <= space.tol * wn:   # else b is negligible
@@ -265,16 +249,18 @@ class Factorization:
             schur=schur, compression=self.w - schur,
             reduced_solution=f, polar_isometry=u, blocks=blocks)
 
-    def projection(self, extra_kernel=None):
-        """The W-symmetric projection onto S (see symmetric_projection)."""
+    @cached_property
+    def q(self):
+        """The canonical W-symmetric projection Q = S (S* + a^† b V*) onto
+        S, V = S^perp (see symmetric_projection)."""
         if not self.complementable:
             raise NotComplementable(
                 "S + W^{-1}(S^[perp]) does not fill the space")
-        space, s, t = self.space, self.s.frame, self.preimage.frame
-        e = s[:, :0] if extra_kernel is None else extra_kernel
-        # N(Q): E and the part of T orthogonal to both E and S ∩ T
-        rest = _complement_within(np.hstack([self._meet[1], e]), t)
-        q = oblique_projection(s, np.hstack([e, rest]))
+        space, s, (lam, vec) = self.space, self.s.frame, self.spectrum
+        v = self._coordinate_complement
+        inv = np.divide(1.0, lam, out=np.zeros(lam.size), where=self.kept)
+        a_pinv_b = (vec * inv) @ (vec.conj().T @ self._coupling)
+        q = s @ (s.conj().T + a_pinv_b @ v.conj().T)
 
         qn = Norm(q)
         if not within(q @ q - q, space.tol, qn, qn):
@@ -285,19 +271,13 @@ class Factorization:
                 "constructed projection is not W-symmetric")
         return q
 
-    @cached_property
-    def q(self):
-        """The canonical W-symmetric projection Q onto S."""
-        return self.projection()
-
     def split_along(self, signature):
         """S = S_+ [+] S_- in the signature's inner product (see w_split)."""
         u, n = self.s.frame, self.space.dim
         if self.s.dim == 0:
             return WSplit(Subspace.zero(n), Subspace.zero(n), signature)
-        a = herm(self.form)
         g = herm(u.conj().T @ signature.gram @ u)
-        lam, vec = generalized_eigh(a, g)
+        lam, vec = generalized_eigh(self._a, g)
         plus = lam >= -self.space.tol * self.norm
         # the eigenvectors are g-orthonormal: frames below are orthonormal
         # in the signature's inner product
@@ -325,9 +305,10 @@ def decompose_w1w2w3(w, s, space, rank_tol=None):
     S_- ⊆ N(W2), S_+ ⊆ N(W3) and W2, W3 positive.
 
     W1 is the Schur complement; W2 = Q_+^# W Q_+ and W3 = -Q_-^# W Q_-
-    where Q_+/Q_- are W-symmetric projections onto the split parts whose
-    kernels are forced through the opposite part.  Every membership,
-    positivity and sum invariant is checked before returning.
+    where Q_+/Q_- are the canonical W-symmetric projections onto the split
+    parts; [W s_+, s_-] = 0 and S_+ ⊥ S_- put the opposite part in their
+    kernels.  Every membership, positivity and sum invariant is checked
+    before returning.
     """
     return _decompose(Factorization(w, s, space, rank_tol))
 
@@ -337,13 +318,8 @@ def _decompose(fac):
     if not fac.complementable:
         raise NotComplementable("weight is not complementable for S")
     split = fac.split
-    zero = np.zeros((space.dim, space.dim), dtype=complex)
-    q_plus = fac.plus.projection(split.s_minus.frame) \
-        if split.s_plus.dim else zero
-    q_minus = fac.minus.projection(split.s_plus.frame) \
-        if split.s_minus.dim else zero
-    w2 = krein_sandwich(q_plus, w, space)
-    w3 = -krein_sandwich(q_minus, w, space)
+    w2 = krein_sandwich(fac.plus.q, w, space)
+    w3 = -krein_sandwich(fac.minus.q, w, space)
     w1 = fac.schur.schur
 
     tol = space.tol * fac.norm
@@ -449,7 +425,7 @@ def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
     w = fac.w
     if not fac.nonnegative:
         raise RangeNotNonnegative("S is not W-nonnegative")
-    if not fac.weakly_complementable:
+    if not fac.complementable:
         raise NotWeaklyComplementable("weight is not weakly complementable")
     schur = fac.schur.schur
     wn = max(fac.norm, np.finfo(float).tiny)

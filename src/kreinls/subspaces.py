@@ -154,7 +154,9 @@ def w_split(s, w, signature, space):
 
 
 def is_complementable(w, s, space, rank_tol=None):
-    """H = S + W^{-1}(S^[perp])?"""
+    """H = S + W^{-1}(S^[perp])?  That is R(b) ⊆ R(a) for the compressed
+    form a = S* (J_ref W) S and the coupling b = S* (J_ref W) S^perp, on
+    a's rank at dim k and ||W||: the ``is_weakly_complementable`` test."""
     from .schur import Factorization
     return Factorization(w, s, space, rank_tol).complementable
 
@@ -182,26 +184,15 @@ def oblique_projection(onto, along):
     return ext @ np.linalg.inv(basis)
 
 
-def _complement_within(inner, outer):
-    """Frame of the coordinate-orthogonal complement of span(inner) inside
-    span(outer); requires span(inner) <= span(outer)."""
-    if outer.shape[1] == 0 or inner.shape[1] == 0:
-        return outer
-    coords = inner.conj().T @ outer     # inner expressed against outer
-    return outer @ null_frame(coords)
-
-
-def symmetric_projection(w, s, space, extra_kernel=None, rank_tol=None):
+def symmetric_projection(w, s, space, rank_tol=None):
     """Projection Q onto S with WQ = Q^# W.
 
     The kernel is the canonical choice: the coordinate-orthogonal
-    complement of S ∩ W^{-1}(S^[perp]) inside W^{-1}(S^[perp]).  When
-    ``extra_kernel`` is given, its frame is forced into N(Q) (it must lie
-    inside the preimage and be independent of S); this is what the
-    three-term weight decomposition needs.
+    complement of S ∩ W^{-1}(S^[perp]) inside W^{-1}(S^[perp]).  In the
+    blocks on (S, V = S^perp), Q = S (S* + a^† b V*), for R(b) ⊆ R(a).
     """
     from .schur import Factorization
-    return Factorization(w, s, space, rank_tol).projection(extra_kernel)
+    return Factorization(w, s, space, rank_tol).q
 
 
 def projection_with_kernel(s, seed, mix_strength=1.5):

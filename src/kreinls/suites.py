@@ -27,7 +27,7 @@ from .lsq import (WeightedProblem, _saddle_sides, eval_f, eval_fj,
                   normal_solvable, solve_ims, solve_ims_max, solve_imms,
                   solve_wils_vector, split_b, verify_saddle)
 from .oracles import (minmax_order_gap, oracle_parameter_sweep,
-                      oracle_projection_infimum)
+                      oracle_projection_infimum, oracle_sum_dimension)
 from .schur import (is_weakly_complementable, projection_infimum_check,
                     schur_complement, verify_schur_identities)
 from .subspaces import is_complementable, is_w_nonnegative
@@ -140,8 +140,9 @@ def _suite_schur(report, spec, count, dim, seed, cond_bound, samples):
             worst = max(worst, opnorm(ref - alt_schur) / wn)
         report.record("j_independence", worst, IDENTITY_RTOL)
 
+        # the library's range test against the oracle's dimension count
         agree = is_weakly_complementable(w, s, space) == \
-            is_complementable(w, s, space)
+            (oracle_sum_dimension(inst.problem, s) == space.dim)
         report.record_bool("weak_vs_full_agreement", agree)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from kreinls import (GeneratorSpec, WeightedProblem, generate_instance,
                      standard_space)
+from kreinls.linalg import null_frame
 
 
 @pytest.fixture
@@ -25,6 +26,13 @@ def jb_alt():
 
 def crandn(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def preimage_frame(fac):
+    """T = W^{-1}(S^[perp]) of a factorization as the complementability
+    oracle takes it: the kernel of the k x n rows R = S* (J_ref W),
+    decided on their singular values at dim n and ||W||."""
+    return null_frame(fac.rows, fac.rank_tol, context=fac.norm)
 
 
 def random_selfadjoint(rng, space, norm=1.0):

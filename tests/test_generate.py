@@ -6,9 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kreinls import (REGIMES, GeneratorSpec, UnsatisfiableSpec,
-                     generate_instance, is_complementable,
-                     is_weakly_complementable, is_w_nonnegative,
-                     is_w_nonpositive, parse_problem, problem_to_dict)
+                     generate_instance, is_complementable, is_w_nonnegative,
+                     is_w_nonpositive, oracle_sum_dimension, parse_problem,
+                     problem_to_dict)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -19,7 +19,7 @@ def test_regime_certificates(regime, dim):
                                                regime=regime))
         w, s, space = inst.problem.w, inst.subspace, inst.space
         comp = is_complementable(w, s, space)
-        assert comp == is_weakly_complementable(w, s, space)
+        assert comp == (oracle_sum_dimension(inst.problem, s) == space.dim)
         if regime == "non_complementable":
             assert not comp
         else:
@@ -67,6 +67,11 @@ def test_unsatisfiable_specs():
         GeneratorSpec(dim=4, seed=0, regime="bogus")
     with pytest.raises(UnsatisfiableSpec):
         GeneratorSpec(dim=4, seed=0, regime="complementable", cond_bound=0.5)
+    with pytest.raises(UnsatisfiableSpec):
+        GeneratorSpec(dim=4, seed=0, regime="complementable",
+                      cond_bound=float("nan"))
+    with pytest.raises(UnsatisfiableSpec):
+        GeneratorSpec(dim=4, seed=-5, regime="complementable")
 
 
 def test_conditioning_bound_respected():

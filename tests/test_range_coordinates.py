@@ -1,5 +1,6 @@
 """The normal equation, its exact certificate, the preimage
-W^{-1}(S^[perp]) and the saddle floors asked in R(B)'s own coordinates,
+W^{-1}(S^[perp]) that the complementability oracle takes and the saddle
+floors asked in R(B)'s own coordinates,
 checked against the n x n rules they replace: an SVD of M = B^#WB, an
 eigvalsh of herm(J_ref M), the kernel of (I - P_{S^[perp]}) W and an
 eigvalsh of herm(B_+/-^* J_ref W B_+/-)."""
@@ -7,7 +8,7 @@ eigvalsh of herm(B_+/-^* J_ref W B_+/-)."""
 import numpy as np
 import pytest
 
-from conftest import crandn
+from conftest import crandn, preimage_frame
 from kreinls import (REGIMES, GeneratorSpec, RankThresholdAmbiguous,
                      WeightedProblem, generate_instance, normal_solvable,
                      solve_ims, solve_imms, solve_normal, solve_trace_minmax,
@@ -89,7 +90,7 @@ def test_preimage_agrees_with_the_residual_map():
             continue
         for s in (_factor(p, None)[0].s, inst.subspace):
             fac = Factorization(p.w, s, p.space)
-            t, ref = fac.preimage.frame, reference_preimage(fac)
+            t, ref = preimage_frame(fac), reference_preimage(fac)
             assert t.shape == ref.shape, key
             assert opnorm(t @ t.conj().T - ref @ ref.conj().T) <= 1e-10, key
 

@@ -1,15 +1,18 @@
-"""One SVD per subspace question: the coordinate complement that
-``Subspace.from_span`` keeps from its own SVD, and the sum and the
-intersection of S and T = W^{-1}(S^[perp]) read off one spectrum of
-[F_S, -F_T], checked against the two-SVD rules they replace."""
+"""One kernel per subspace question: the coordinate complement that
+``Subspace.from_span`` keeps from its own SVD; the oracle's dim(S + T),
+T = W^{-1}(S^[perp]), read off one spectrum of [F_S, -F_T] and checked
+against the two-SVD rules it replaces; and complementability and
+S ∩ T = S N(a) read off the compressed form's eigh, checked against the
+oracle."""
 
 import numpy as np
 import pytest
 
-from conftest import crandn
+from conftest import crandn, preimage_frame
 from kreinls import (REGIMES, GeneratorSpec, KreinSpace,
-                     RankThresholdAmbiguous, Subspace, generate_instance,
-                     is_complementable, range_subspace, standard_space)
+                     RankThresholdAmbiguous, Subspace, WeightedProblem,
+                     generate_instance, is_complementable,
+                     oracle_sum_dimension, range_subspace, standard_space)
 from kreinls.linalg import null_frame, opnorm, orth_frame
 from kreinls.schur import Factorization
 
@@ -33,6 +36,11 @@ def stacked_intersection(fa, fb, rank_tol=None):
     pa = np.eye(dim) - fa @ fa.conj().T
     pb = np.eye(dim) - fb @ fb.conj().T
     return null_frame(np.vstack([pa, pb]), rank_tol, context=1.0)
+
+
+def meet(fac):
+    """S ∩ T = S N(a), from the eigenvectors a's rank drops."""
+    return fac.s.frame @ fac.spectrum[1][:, ~fac.kept]
 
 
 def _spans(rng):
@@ -102,16 +110,19 @@ def test_meet_of_two_coordinate_planes():
     w = np.zeros((4, 4))
     w[0, 0] = w[2, 2] = w[1, 3] = w[3, 1] = 1.0
     fac = Factorization(w, Subspace(np.eye(4)[:, :2]), space)
-    t = fac.preimage.frame
+    t = preimage_frame(fac)
     assert opnorm(t @ t.conj().T - np.diag([0.0, 1, 1, 0])) <= 1e-14
-    rank, inter = fac._meet
-    assert rank == 3 and not fac.complementable
+    p = WeightedProblem(w=w, b=np.eye(4), c=np.eye(4), space=space)
+    assert oracle_sum_dimension(p, fac.s) == 3
+    assert not fac.complementable
+    inter = meet(fac)
     assert inter.shape == (4, 1)
     assert abs(abs(inter[1, 0]) - 1.0) < 1e-12
 
 
 def _factorizations(dims, seeds):
-    """The weight relative to the generated subspace and to R(B)."""
+    """The problem, and its weight relative to the generated subspace and
+    to R(B)."""
     for dim in dims:
         for regime in REGIMES:
             for seed in seeds:
@@ -119,19 +130,21 @@ def _factorizations(dims, seeds):
                                                        regime=regime))
                 p = inst.problem
                 for s in (inst.subspace, range_subspace(p.b)):
-                    yield f"{regime}.{dim}.{seed}", \
+                    yield f"{regime}.{dim}.{seed}", p, \
                         Factorization(p.w, s, p.space)
 
 
 def test_one_svd_agrees_with_the_two_svd_rules():
-    """Complementability is the reference's width test, and the frame of
-    S ∩ T is orthonormal and spans what the stacked projectors give."""
-    for key, fac in _factorizations((6, 8, 32), (0, 1, 2)):
-        s, t, dim = fac.s.frame, fac.preimage.frame, fac.space.dim
-        want = subspace_sum(s, t).shape[1] == dim
-        assert fac.complementable == want, key
+    """The oracle's count is the reference's width test and the library's
+    range test agrees with it; the frame of S ∩ T = S N(a) is orthonormal
+    and spans what the stacked projectors give."""
+    for key, p, fac in _factorizations((6, 8, 32), (0, 1, 2)):
+        s, t, dim = fac.s.frame, preimage_frame(fac), fac.space.dim
+        count = oracle_sum_dimension(p, fac.s)
+        assert count == subspace_sum(s, t).shape[1], key
+        assert fac.complementable == (count == dim), key
         ref = stacked_intersection(s, t)
-        inter = fac._meet[1]
+        inter = meet(fac)
         assert inter.shape == ref.shape, key
         k = inter.shape[1]
         assert opnorm(inter.conj().T @ inter - np.eye(k)) <= 1e-10, key
@@ -142,17 +155,21 @@ def test_one_svd_agrees_with_the_two_svd_rules():
 def test_neutral_directions_meet_in_the_kernel_of_the_form():
     """x = F_S c lies in T iff the compressed form S* J W S kills c, so
     S ∩ T is the W-neutral part of S that this regime plants; at dim 128
-    the intersection is 14, 71, 30, 8 and 1 dimensional."""
+    the intersection is 14, 71, 30, 8 and 1 dimensional, in the oracle's
+    count and in a's kernel."""
     for seed, want in zip(range(1000, 1005), (14, 71, 30, 8, 1)):
         inst = generate_instance(GeneratorSpec(dim=128, seed=seed,
                                                regime="neutral_directions"))
         p = inst.problem
         fac = Factorization(p.w, range_subspace(p.b), p.space)
-        inter = fac._meet[1]
+        t = preimage_frame(fac)
+        assert oracle_sum_dimension(p, fac.s) == 128
+        assert fac.s.dim + t.shape[1] - 128 == want
+        inter = meet(fac)
         assert fac.complementable and inter.shape[1] == want
         lam = np.linalg.eigvalsh(fac.form)
         assert (np.abs(lam) <= p.space.tol * fac.norm).sum() == want
-        ref = stacked_intersection(fac.s.frame, fac.preimage.frame)
+        ref = stacked_intersection(fac.s.frame, t)
         assert opnorm(inter @ inter.conj().T - ref @ ref.conj().T) <= 1e-10
 
 
@@ -165,9 +182,10 @@ def _tilted_pair(theta):
 
 
 def test_an_angle_inside_the_ambiguity_decade_is_refused():
-    """The smallest singular value of [F_S, -F_T] is about theta / sqrt(2)
-    against a cutoff of 2 sqrt(2) 1e-12: clear on either side, ambiguous
-    within a decade of it."""
+    """The compressed form a = -sin(theta) is decided against a cutoff
+    of 1e-12 ||W|| (the smallest singular value of [F_S, -F_T], about
+    theta / sqrt(2), against 2 sqrt(2) 1e-12 in the old rule): clear on
+    either side, ambiguous within a decade of it."""
     w, s, space = _tilted_pair(1e-6)
     assert is_complementable(w, s, space)
     w, s, space = _tilted_pair(1e-15)
@@ -177,4 +195,4 @@ def test_an_angle_inside_the_ambiguity_decade_is_refused():
         is_complementable(w, s, space)
     fac = Factorization(w, s, space)
     with pytest.raises(RankThresholdAmbiguous):     # as the old rule did
-        subspace_sum(fac.s.frame, fac.preimage.frame)
+        subspace_sum(fac.s.frame, preimage_frame(fac))

@@ -176,6 +176,36 @@ def test_cli_non_finite_entry_exit_code(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--dim", "4", "--regime", "complementable",
+      "--cond-bound", "nan"], "--cond-bound"),
+    (["generate", "--dim", "4", "--regime", "complementable",
+      "--seed", "-5"], "--seed"),
+    (["generate", "--dim", "1", "--regime", "complementable"], "--dim"),
+    (["verify", "--suite", "minmax", "--instances", "-1"], "--instances"),
+    (["verify", "--suite", "minmax", "--instances", "0"], "--instances"),
+    (["verify", "--suite", "minmax", "--cond-bound", "0.5"], "--cond-bound"),
+    (["verify", "--suite", "minmax", "--seed", "-1"], "--seed"),
+])
+def test_cli_numeric_flag_out_of_range_exit_code(argv, flag, capsys):
+    """A numeric flag outside its range is MalformedInput naming the flag,
+    exit 2 and JSON on stderr, before any instance is generated."""
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    err = json.loads(out.err)
+    assert err["error"] == "MalformedInput"
+    assert err["message"].startswith(f"{flag}: must be")
+
+
+def test_cli_infinite_cond_bound_is_valid(capsys):
+    argv = ["generate", "--dim", "4", "--regime", "complementable",
+            "--cond-bound", "inf"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dim"] == 4 and doc["meta"]["regime"] == "complementable"
+
+
 def _generated_doc(tmp_path, capsys):
     path = tmp_path / "gen8.json"
     assert main(["generate", "--regime", "range_nonnegative", "--dim", "8",
