@@ -135,6 +135,12 @@ class SignatureOperator:
         """(G^{1/2}, G^{-1/2}), computed together on first read of either."""
         return tuple(map(_frozen, hpd_sqrt(self.gram)))
 
+    @cached_property
+    def unit_gram(self):
+        """Is G = I by value (a diagonal J_ref's J_ref J_ref may hold -0.0)?
+        Frames orthonormal in coordinates are then orthonormal in G."""
+        return np.array_equal(self.gram, np.eye(len(self.gram)))
+
     gram_sqrt = property(lambda self: self._roots[0], doc="G^{1/2}")
     gram_isqrt = property(lambda self: self._roots[1], doc="G^{-1/2}")
 

@@ -14,7 +14,7 @@ import numpy as np
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
 from .linalg import (as_complex, crand, g_orthonormalize, min_eig_herm,
-                     opnorm, same_bits, scale_of)
+                     opnorm, same_bits, scale_of, trace_product)
 from .lsq import (CertificateReport, SplitB, _f, _factor, _order_floor,
                   _sample_directions, _solve_imms, _split_b, eval_f, eval_fj,
                   solve_ims)
@@ -47,7 +47,7 @@ def trace_j(t, j, space):
     the J-associated inner product; equals trace(J T)."""
     sig = as_signature(j, space)
     t = space.check_operator(t)
-    value = complex(np.trace(sig.entries @ t))
+    value = complex(trace_product(sig.entries, t))
     return TraceReport(value=value, trace_norm=trace_norm_assoc(t, sig, space),
                        j_used=sig)
 
@@ -114,7 +114,7 @@ def verify_trace_laws(s, t, alpha, beta, j, space, seed=0):
     jm = sig.entries
     sc = scale_of(s, t) * max(1.0, abs(alpha), abs(beta))
 
-    tr = lambda a: complex(np.trace(jm @ a))
+    tr = lambda a: complex(trace_product(jm, a))
     lin = abs(tr(alpha * t + beta * s) - (alpha * tr(t) + beta * tr(s)))
     adj = abs(tr(krein_adjoint(t, space)) - np.conj(tr(t)))
     basis = abs(trace_j_basis_sum(t, sig, space, seed) - tr(t))
@@ -151,13 +151,13 @@ def change_of_signature(t, ja, jb, space):
 def trace_objective(p, j, x):
     """f_J(X) = tr_J(F(X)); real since F(X) is selfadjoint."""
     sig = as_signature(j, p.space)
-    return float(np.trace(sig.entries @ eval_f(p, x)).real)
+    return float(trace_product(sig.entries, eval_f(p, x)).real)
 
 
 def trace_objective_xy(p, split, j, x, y):
     """f_J(X, Y) = tr_J(F_J(X, Y)); f_J(X, X) = f_J(X)."""
     sig = as_signature(j, p.space)
-    return float(np.trace(sig.entries @ eval_fj(p, split, x, y)).real)
+    return float(trace_product(sig.entries, eval_fj(p, split, x, y)).real)
 
 
 def frechet_derivative(p, j, x, y):
@@ -167,7 +167,7 @@ def frechet_derivative(p, j, x, y):
     x = p.space.check_operator(x)
     y = p.space.check_operator(y)
     grad_core = krein_adjoint(p.b, p.space) @ p.w @ (p.b @ x - p.c)
-    val = np.trace(sig.entries @ krein_adjoint(y, p.space) @ grad_core)
+    val = trace_product(sig.entries @ krein_adjoint(y, p.space), grad_core)
     return float(2.0 * val.real)
 
 
@@ -196,17 +196,12 @@ class TraceMinSolution:
     gradient_certificate: float
 
 
-def _traces(sig, stack):
-    """Real parts of tr_J over a stack of operators."""
-    return np.einsum("ab,nba->n", sig.entries, stack).real
-
-
 def _scalar_floor_certificate(p, j, x0, n_samples, seed, sense="min"):
     """Sampled f_J(X) >= f_J(X0) (or <=, for max) check."""
     sig = as_signature(j, p.space)
     base = trace_objective(p, sig, x0)
     xs = _sample_directions(p.space, x0, n_samples, seed)
-    vals = _traces(sig, _f(p, xs))
+    vals = trace_product(sig.entries, _f(p, xs)).real
     gaps = vals - base if sense == "min" else base - vals
     scales = np.maximum(1.0, np.abs(vals))
     floors = gaps / scales
@@ -249,7 +244,7 @@ class TraceMinMaxSolution:
     split: SplitB
 
 
-def _saddle_floors(fac, split, vh):
+def _saddle_floors(fac, plus, minus):
     """Exact floors of the two saddle sides around a normal solution Z.
 
     With R = BZ - C, B^#WR = 0 and R(B_+/-) ⊆ R(B) give, for any
@@ -257,14 +252,17 @@ def _saddle_floors(fac, split, vh):
     F_J(Z, Y) - F_J(Z, Z) = E^# (B_-^#WB_-) E.  The floors are the
     smallest eigenvalues of herm(J_ref B_+^#WB_+) and
     herm(-J_ref B_-^#WB_-), each relative to ||B_+/-||^2 ||W||.  With
-    B = S Σ V_k* (``vh`` = V_k*), B_+/- = G V_k* for G = B_+/- V_k, so
-    they are read on the k x k G* (J_ref W) G, with 0 when k < n.
+    B_+/- = S vec L V_k* (``_split_b``) and L* = Q R, B_+/- = S vr Q* V_k*
+    for the k x k_+/- vr = vec R*: the floors are read on the k_+/- x k_+/-
+    vr* (S* J_ref W S) vr, with 0 when k_+/- < n, and ||B_+/-|| = ||vr||.
     """
-    vk, padded = vh.conj().T, vh.shape[0] < fac.space.dim
-    return tuple(_order_floor(min_eig_herm(sign * (g.conj().T @ fac.jw @ g)),
-                              opnorm(g) ** 2 * fac.norm, padded)
-                 for g, sign in ((split.b_plus @ vk, 1.0),
-                                 (split.b_minus @ vk, -1.0)))
+    floors = []
+    for (vec, ell), sign in ((plus, 1.0), (minus, -1.0)):
+        vr = vec @ np.linalg.qr(ell.conj().T, mode="r").conj().T
+        floors.append(_order_floor(
+            min_eig_herm(sign * (vr.conj().T @ fac.form @ vr)),
+            opnorm(vr) ** 2 * fac.norm, vec.shape[1] < fac.space.dim))
+    return tuple(floors)
 
 
 def solve_trace_minmax(p, j, rank_tol=None):
@@ -282,13 +280,13 @@ def solve_trace_minmax(p, j, rank_tol=None):
     sig = SignatureOperator.reference(p.space) if reference \
         else as_signature(j, p.space)
     factored = _factor(p, rank_tol, reference=sig if reference else None)
-    fac, _, vh = factored
+    fac = factored[0]
     if not fac.complementable:
         raise NotComplementable("weight is not complementable for R(B)")
     imms = _solve_imms(p, factored)
-    value = float(np.trace(sig.entries @ imms.schur_value).real)
-    split = _split_b(p, fac, sig)
-    min_floor, max_floor = _saddle_floors(fac, split, vh)
+    value = float(trace_product(sig.entries, imms.schur_value).real)
+    split, plus, minus = _split_b(p, factored, sig)
+    min_floor, max_floor = _saddle_floors(fac, plus, minus)
     return TraceMinMaxSolution(z=imms.z, value=value, imms=imms,
                                saddle_min_floor=min_floor,
                                saddle_max_floor=max_floor, split=split)
@@ -300,7 +298,7 @@ def js2_inner(s, t, j, space):
     sig = as_signature(j, space)
     s = space.check_operator(s)
     t = space.check_operator(t)
-    return complex(np.trace(sig.entries @ krein_adjoint(t, space) @ s))
+    return complex(trace_product(sig.entries @ krein_adjoint(t, space), s))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,13 @@ def crand(rng, *shape):
 
 def herm(a):
     """Hermitian part (A + A*)/2 of a matrix or of each in a stack."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
+    return 0.5 * (a + a.swapaxes(-1, -2).conj())
+
+
+def trace_product(a, b):
+    """tr(a b) for b one matrix or a stack of them, in O(dim^2) each: the
+    sum of a's entries times b's transposed ones, with no a @ b."""
+    return np.einsum("ij,...ji->...", a, b)
 
 
 def opnorm(a):

@@ -225,11 +225,12 @@ class ImsSolution:
 
 
 def _schur_value(p, fac, value, what):
-    """C^# W_{/[S]} C, checked against a solver's value at the scale
-    ||W|| ||C||^2; (None, None) when W is not complementable for S."""
+    """C^# W_{/[S]} C in S^perp's coordinates (``Factorization.schur_form``),
+    checked against a solver's value at the scale ||W|| ||C||^2;
+    (None, None) when W is not complementable for S."""
     if not fac.complementable:
         return None, None
-    schur_value = krein_sandwich(p.c, fac.schur.schur, p.space)
+    schur_value = fac.schur_form(p.c)
     sc = p.w_norm * p.c_norm ** 2
     if (gap := excess(value - schur_value, p.space.tol * sc)) is not None:
         raise InternalCertificateFailure(
@@ -348,16 +349,24 @@ def split_b(p, signature=None, rank_tol=None):
     """
     if signature is None:
         signature = SignatureOperator.reference(p.space)
-    return _split_b(p, _factor(p, rank_tol)[0], signature)
+    return _split_b(p, _factor(p, rank_tol), signature)[0]
 
 
-def _split_b(p, fac, signature):
-    split = fac.split_along(signature)
-    g = signature.gram
-    fp, fm = split.s_plus.frame, split.s_minus.frame
-    p_plus = fp @ fp.conj().T @ g
-    p_minus = fm @ fm.conj().T @ g
-    return SplitB(b_plus=p_plus @ p.b, b_minus=p_minus @ p.b, split=split)
+def _split_b(p, factored, signature):
+    """(SplitB, (vec_+, L_+), (vec_-, L_-)) in R(B)'s coordinates, with no
+    dim x dim P_+/-.
+
+    With B = S Σ V_k* (``factored``) and S_+/- = S vec_+/-, P_+/- B =
+    S_+/- vec_+/-^* (S* G S) Σ V_k* = S_+/- L_+/- V_k* for the k_+/- x k
+    L_+/- = vec_+/-^* g Σ, g = S* G S (I when G = I by value).
+    """
+    fac, sigma, vh = factored
+    split, vp, vm, g = fac.split_coordinates(signature)
+    lp, lm = ((v.conj().T if g is None else v.conj().T @ g) * sigma
+              for v in (vp, vm))
+    return (SplitB(b_plus=split.s_plus.frame @ (lp @ vh),
+                   b_minus=split.s_minus.frame @ (lm @ vh), split=split),
+            (vp, lp), (vm, lm))
 
 
 def _fj(p, split, x, y):
@@ -388,7 +397,8 @@ def solve_imms(p, rank_tol=None):
 
     Z1 solves the normal equation, Z2 = 0; when the weight is
     complementable the value is checked against both closed forms
-    C^# W_{/[R(B)]} C and C^# W (I - Q) C.
+    C^# W_{/[R(B)]} C and C^# W (I - Q) C, each computed in the
+    coordinates of R(B)^perp (no dim x dim Schur complement or Q).
     """
     return _solve_imms(p, _factor(p, rank_tol))
 
@@ -407,9 +417,7 @@ def _solve_imms(p, factored):
     value = eval_f(p, z)
     schur_value, sc = _schur_value(p, fac, value, "min-max value")
     if schur_value is not None:
-        via_q = krein_adjoint(p.c, p.space) @ p.w \
-            @ (np.eye(p.space.dim) - fac.q) @ p.c
-        if not within(value - via_q, p.space.tol * sc):
+        if not within(value - fac.projection_form(p.c), p.space.tol * sc):
             raise InternalCertificateFailure(
                 "min-max value disagrees with the closed forms")
     return ImmsSolution(z=z, z1=z1, z2=z2, minmax_value=value,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
-from .linalg import null_frame, pinv
+from .linalg import null_frame, pinv, trace_product
 from .lsq import split_b
 from .subspaces import (_projection_stacks, is_w_nonnegative,
                         symmetric_projection)
@@ -59,7 +59,7 @@ def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
     traces = [np.empty(0)]      # n = 0 draws no stack
     for es in stacks:
         cands = krein_sandwich(es, w, space)
-        tr = np.trace(space.j_ref @ cands, axis1=1, axis2=2).real
+        tr = trace_product(space.j_ref, cands).real
         i = int(np.argmin(tr))          # the first minimizer, as in a scan
         if tr[i] < best_trace:
             best_trace, best = tr[i], cands[i].copy()

@@ -93,12 +93,13 @@ class Factorization:
     """The weight W relative to a subspace S, factored once.
 
     Every (W, S) question of the paper comes from this one object, each
-    computed on first use and then kept: the companion S^[perp], the
-    blocks [[a, b], [b*, c]] on (S, S^perp), complementability, the Schur
-    complement W_{/[S]}, the W-symmetric projection Q and the split
-    S_+ [+] S_-.  S^perp is the one ``from_span`` kept (or a QR of a given
-    frame).  One eigh of the compressed form a answers the rest: its
-    signs, its rank, R(b) ⊆ R(a), a^† for Q and the Schur polar root.
+    computed on first use and then kept: the blocks [[a, b], [b*, c]] on
+    (S, S^perp), complementability, the Schur complement W_{/[S]}, the
+    W-symmetric projection Q, the split S_+ [+] S_- and the closed forms
+    C^# W_{/[S]} C and C^# W (I - Q) C.  S^perp is the one ``from_span``
+    kept (or a QR of a given frame).  One eigh of the compressed form a
+    answers the rest: its signs, its rank, R(b) ⊆ R(a), a^† for Q, the
+    Schur polar root and, under a Gram equal to I, the split.
 
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
@@ -138,11 +139,6 @@ class Factorization:
     @cached_property
     def _coordinate_complement(self):
         return self.s.coordinate_complement().frame
-
-    @cached_property
-    def companion(self):
-        """S^[perp] = J_ref (S^perp)."""
-        return Subspace(self.space.j_ref @ self._coordinate_complement)
 
     @cached_property
     def rows(self):
@@ -191,9 +187,7 @@ class Factorization:
         """The blocks of the weight form relative to S in the signature's
         inner product (see block_decompose)."""
         g, f, jw = signature.gram, self.s.frame, self.jw
-        # the reference Gram of a diagonal J_ref is I (by value: J_ref J_ref
-        # may hold -0.0), and then S and S^perp are already orthonormal
-        if np.array_equal(g, np.eye(self.space.dim)):
+        if signature.unit_gram:     # S and S^perp are already orthonormal
             u, v = f, self._coordinate_complement
             a, b = self._a, self._coupling
         else:
@@ -211,16 +205,12 @@ class Factorization:
         """The blocks relative to the reference signature."""
         return self.blocks_under(self.reference)
 
-    @cached_property
-    def schur(self):
-        """The checked SchurResult from the reference blocks."""
-        return self.schur_under(self.reference, self.blocks)
-
-    def schur_under(self, signature, blocks=None):
-        """The checked SchurResult computed in the signature's blocks."""
-        space, s, wn = self.space, self.s, self.norm
-        if blocks is None:
-            blocks = self.blocks_under(signature)
+    def _reduce(self, blocks):
+        """(f, u, core) of the blocks: the polar isometry u of a, the
+        reduced solution f = pinv(|a|^{1/2}) b once R(b) ⊆ R(|a|^{1/2})
+        holds (else NotWeaklyComplementable), and core = herm(c - f* u f),
+        the Schur complement on the blocks' S^perp basis."""
+        space, wn = self.space, self.norm
         # the reference blocks' a is the compressed form: read its spectrum
         u, root, rootinv = \
             sign_and_root(*self.spectrum, self.kept) if blocks.a is self._a \
@@ -232,35 +222,74 @@ class Factorization:
             if douglas is not None and not within(bn, space.tol * wn):
                 raise NotWeaklyComplementable(
                     f"R(b) not inside R(|a|^1/2): residual {douglas:.3e}")
-        core = herm(blocks.c - f.conj().T @ u @ f)
-        v = blocks.basis_sperp
-        schur = signature.entries @ (v @ core @ v.conj().T @ signature.gram)
+        return f, u, herm(blocks.c - f.conj().T @ u @ f)
 
-        tol = space.tol * wn
-        if s.dim and not within(schur @ s.frame, tol):
+    @cached_property
+    def schur(self):
+        """The checked SchurResult from the reference blocks."""
+        return self.schur_under(self.reference)
+
+    def schur_under(self, signature):
+        """The checked SchurResult computed in the signature's blocks:
+        W_{/[S]} = J' v core v* G on their S^perp basis v."""
+        space, wn = self.space, self.norm
+        blocks = self.blocks if signature is self.reference \
+            else self.blocks_under(signature)
+        f, u, core = self._reduce(blocks)
+        v = blocks.basis_sperp
+        vg = v.conj().T if signature.unit_gram \
+            else v.conj().T @ signature.gram
+        schur = signature.entries @ (v @ core @ vg)
+
+        tol, s = space.tol * wn, self.s.frame
+        j_schur = space.j_ref @ schur
+        if s.size and not within(schur @ s, tol):
             raise InternalCertificateFailure("S is not inside N(W_{/[S]})")
-        if not within(schur - self.companion.projector() @ schur, tol):
+        # S^[perp] = J_ref S^perp is the kernel of S* J_ref
+        if not within(s.conj().T @ j_schur, tol):
             raise InternalCertificateFailure(
                 "R(W_{/[S]}) is not inside S^[perp]")
-        j_schur = space.j_ref @ schur
         if not within(j_schur - j_schur.conj().T, tol):
             raise InternalCertificateFailure("W_{/[S]} is not selfadjoint")
         return SchurResult(
             schur=schur, compression=self.w - schur,
             reduced_solution=f, polar_isometry=u, blocks=blocks)
 
+    def schur_form(self, c):
+        """C^# W_{/[S]} C = J_ref (v* G C)* core (v* G C) on the reference
+        blocks' S^perp basis v (v* C when G = I by value), with no dim x
+        dim complement: O(dim^2 (dim - k))."""
+        ref, blocks = self.reference, self.blocks
+        core, vt = self._reduce(blocks)[2], blocks.basis_sperp.conj().T
+        vc = vt @ c if ref.unit_gram else vt @ (ref.gram @ c)
+        return self.space.j_ref @ vc.conj().T @ (core @ vc)
+
+    def projection_form(self, c):
+        """C^# W (I - Q) C with no Q: I - Q = (V - S a^† b) V* for
+        V = S^perp, so it is J_ref C* (J_ref W (V - S a^† b)) (V* C)."""
+        v = self._coordinate_complement
+        y = self.jw @ (v - self.s.frame @ self._a_pinv_b)
+        return self.space.j_ref @ (c.conj().T @ y) @ (v.conj().T @ c)
+
+    @cached_property
+    def _a_pinv_b(self):
+        """a^† b, a^† read off a's one eigh."""
+        lam, vec = self.spectrum
+        inv = np.divide(1.0, lam, out=np.zeros(lam.size), where=self.kept)
+        return (vec * inv) @ (vec.conj().T @ self._coupling)
+
     @cached_property
     def q(self):
         """The canonical W-symmetric projection Q = S (S* + a^† b V*) onto
-        S, V = S^perp (see symmetric_projection)."""
+        S, V = S^perp (see symmetric_projection); 0 for S = 0."""
+        space, s = self.space, self.s.frame
+        if not s.size:
+            return np.zeros((space.dim, space.dim), dtype=complex)
         if not self.complementable:
             raise NotComplementable(
                 "S + W^{-1}(S^[perp]) does not fill the space")
-        space, s, (lam, vec) = self.space, self.s.frame, self.spectrum
         v = self._coordinate_complement
-        inv = np.divide(1.0, lam, out=np.zeros(lam.size), where=self.kept)
-        a_pinv_b = (vec * inv) @ (vec.conj().T @ self._coupling)
-        q = s @ (s.conj().T + a_pinv_b @ v.conj().T)
+        q = s @ (s.conj().T + self._a_pinv_b @ v.conj().T)
 
         qn = Norm(q)
         if not within(q @ q - q, space.tol, qn, qn):
@@ -271,23 +300,26 @@ class Factorization:
                 "constructed projection is not W-symmetric")
         return q
 
-    def split_along(self, signature):
-        """S = S_+ [+] S_- in the signature's inner product (see w_split)."""
-        u, n = self.s.frame, self.space.dim
-        if self.s.dim == 0:
-            return WSplit(Subspace.zero(n), Subspace.zero(n), signature)
-        g = herm(u.conj().T @ signature.gram @ u)
-        lam, vec = generalized_eigh(self._a, g)
+    def split_coordinates(self, signature):
+        """(split, vec_+, vec_-, g): S_+/- = S vec_+/-, where vec holds the
+        eigenvectors of a against g = S* G S, so the frames are orthonormal
+        in the signature's inner product.  When G = I by value they are
+        a's one eigh, and g is None (I)."""
+        u = self.s.frame
+        if signature.unit_gram:
+            (lam, vec), g = self.spectrum, None
+        else:
+            g = herm(u.conj().T @ signature.gram @ u)
+            lam, vec = generalized_eigh(self._a, g)
         plus = lam >= -self.space.tol * self.norm
-        # the eigenvectors are g-orthonormal: frames below are orthonormal
-        # in the signature's inner product
-        return WSplit(s_plus=Subspace(u @ vec[:, plus]),
-                      s_minus=Subspace(u @ vec[:, ~plus]), signature=signature)
+        vp, vm = vec[:, plus], vec[:, ~plus]
+        return (WSplit(s_plus=Subspace(u @ vp), s_minus=Subspace(u @ vm),
+                       signature=signature), vp, vm, g)
 
     @cached_property
     def split(self):
         """The split S_+ [+] S_- under the reference signature."""
-        return self.split_along(self.reference)
+        return self.split_coordinates(self.reference)[0]
 
     @cached_property
     def plus(self):

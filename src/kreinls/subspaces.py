@@ -66,14 +66,17 @@ class Subspace:
         return within(resid, tol, v)
 
     def coordinate_complement(self, rank_tol=None):
-        """S^perp: the one ``from_span`` kept, else the trailing columns of
-        a complete QR of the frame (the kernel of S* at a given rank_tol)."""
+        """S^perp: the one ``from_span`` kept, the whole space for S = 0,
+        else the trailing columns of a complete QR of the frame (the kernel
+        of S* at a given rank_tol)."""
         if rank_tol is not None:
             return Subspace(null_frame(self.frame.conj().T, rank_tol))
         if self._complement is not None:
             return Subspace(self._complement)
-        return Subspace(np.linalg.qr(self.frame, mode="complete")[0]
-                        [:, self.dim:])
+        n, k = self.frame.shape
+        if not k:
+            return Subspace.full(n)
+        return Subspace(np.linalg.qr(self.frame, mode="complete")[0][:, k:])
 
 
 def svd_span(a, rank_tol=None):
@@ -150,7 +153,7 @@ def w_split(s, w, signature, space):
     to the nonnegative side.
     """
     from .schur import Factorization
-    return Factorization(w, s, space).split_along(signature)
+    return Factorization(w, s, space).split_coordinates(signature)[0]
 
 
 def is_complementable(w, s, space, rank_tol=None):

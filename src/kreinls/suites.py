@@ -16,12 +16,12 @@ from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
 from .errors import (NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive, UnknownSuite)
 from .generate import GeneratorSpec, generate_instance
-from .jtrace import (_scalar_floor_certificate, _traces, change_of_signature,
+from .jtrace import (_scalar_floor_certificate, change_of_signature,
                      frechet_derivative, frechet_fd, js2_inner,
                      js2_signature_identity, solve_trace_min,
                      solve_trace_minmax, trace_j, trace_objective_xy,
                      verify_trace_laws)
-from .linalg import crand, min_eig_herm, opnorm, scale_of
+from .linalg import crand, min_eig_herm, opnorm, scale_of, trace_product
 from .lsq import (WeightedProblem, _saddle_sides, eval_f, eval_fj,
                   minimality_certificate, neutral_shift, normal_residual,
                   normal_solvable, solve_ims, solve_ims_max, solve_imms,
@@ -174,7 +174,7 @@ def _suite_infimum(report, spec, count, dim, seed, cond_bound, samples):
                                           include_canonical=True)
         report.record("oracle_canonical_equality",
                       abs(exact.trace_history[-1]
-                          - float(np.trace(space.j_ref @ schur).real))
+                          - float(trace_product(space.j_ref, schur).real))
                       / scale_of(w), EQUALITY_RTOL)
 
 
@@ -341,7 +341,7 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
 
         if dim <= 4:
             ref = SignatureOperator.reference(space)
-            closed = float(np.trace(ref.entries @ sol.schur_value).real)
+            closed = float(trace_product(ref.entries, sol.schur_value).real)
             v_xy, v_yx = minmax_order_gap(p, ref, split)
             report.record("order_exchange_gap", abs(v_xy - v_yx)
                           / max(1.0, abs(closed)), IDENTITY_RTOL)
@@ -403,8 +403,9 @@ def _trace_saddle_floors(p, sig, sol, n_samples, seed):
     base = trace_objective_xy(p, sol.split, sig, sol.z, sol.z)
     scale = max(1.0, abs(base))
     sides = _saddle_sides(p, sol.split, sol.z, n_samples, seed)
-    min_floor = ((_traces(sig, next(sides)) - base) / scale).min()
-    max_floor = ((base - _traces(sig, next(sides))) / scale).min()
+    traces = lambda stack: trace_product(sig.entries, stack).real
+    min_floor = ((traces(next(sides)) - base) / scale).min()
+    max_floor = ((base - traces(next(sides))) / scale).min()
     return float(min_floor), float(max_floor)
 
 
@@ -417,7 +418,7 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
         s = inst.subspace
         shorted = schur_complement(p.w, s, space).schur
         closed_matrix = krein_sandwich(p.c, shorted, space)
-        closed = float(np.trace(ref.entries @ closed_matrix).real)
+        closed = float(trace_product(ref.entries, closed_matrix).real)
         den = max(1.0, abs(closed))
 
         if is_w_nonnegative(p.w, s, space):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from kreinls import (REGIMES, GeneratorSpec, KreinError, SignatureOperator,
-                     WeightedProblem, generate_instance, parse_problem,
-                     problem_to_dict, random_signature_operator,
-                     range_subspace, schur_complement, solve_ims, solve_imms,
+                     WeightedProblem, decompose_w1w2w3, generate_instance,
+                     parse_problem, problem_to_dict,
+                     random_signature_operator, range_subspace,
+                     schur_complement, solve_ims, solve_imms,
                      solve_trace_minmax)
 from kreinls.linalg import herm, hpd_sqrt
 from kreinls.schur import Factorization
@@ -140,6 +141,55 @@ def test_an_accepted_solve_runs_one_n_by_n_kernel(call, kernel_log):
             assert not [k for k in kernel_log if k[-1] == rows], \
                 f"{regime} {seed}"
     assert accepted >= 6
+
+
+@pytest.mark.parametrize("call", ["solve_imms", "solve_trace_minmax"])
+def test_an_accepted_min_max_reads_values_and_floors_in_k_coordinates(
+        call, kernel_log):
+    """At dim 32 an accepted reference-signature min-max solve logs no
+    kernel with n rows or n columns but the SVD of B, and no Cholesky or
+    inverse: both closed forms, the split, B_+/- and the saddle floors are
+    read in R(B)'s coordinates."""
+    n, accepted = 32, 0
+    for regime in REGIMES:
+        for seed in (0, 1, 2):
+            inst = generate_instance(GeneratorSpec(dim=n, seed=seed,
+                                                   regime=regime))
+            p = inst.problem
+            kernel_log.clear()
+            try:
+                CALLS[call](inst, p)
+            except KreinError:
+                continue
+            accepted += 1
+            wide = [(name, shape) for name, _, _, _, shape, data in kernel_log
+                    if n in shape[-2:]
+                    and (name, data) != ("svd", p.b.tobytes())]
+            assert not wide, f"{regime} {seed}"
+            assert not [k for k in kernel_log
+                        if k[0] in ("cholesky", "inv")], f"{regime} {seed}"
+    assert accepted >= 6
+
+
+def test_decompose_takes_no_qr_of_an_empty_frame(kernel_log):
+    """A split part of dimension 0 has Q = 0 and S^perp the whole space,
+    so decompose_w1w2w3 takes no QR of a dim x 0 frame."""
+    empty_parts = 0
+    for regime in REGIMES:
+        for seed in range(4):
+            inst = generate_instance(GeneratorSpec(dim=4, seed=seed,
+                                                   regime=regime))
+            p = inst.problem
+            kernel_log.clear()
+            try:
+                decompose_w1w2w3(p.w, inst.subspace, p.space)
+            except KreinError:
+                continue
+            assert not [k for k in kernel_log
+                        if k[0] == "qr" and k[4][-1] == 0], f"{regime} {seed}"
+            split = Factorization(p.w, inst.subspace, p.space).split
+            empty_parts += (split.s_plus.dim == 0) + (split.s_minus.dim == 0)
+    assert empty_parts
 
 
 def test_factorization_lives_for_one_call():

@@ -17,7 +17,7 @@ from kreinls import (REGIMES, GeneratorSpec, MinMaxUnsolvable,
                      verify_trace_laws)
 from kreinls import jtrace, lsq
 from kreinls.jtrace import _saddle_floors, _scalar_floor_certificate
-from kreinls.lsq import _factor, _fj, solve_normal, split_b
+from kreinls.lsq import _factor, _fj, _split_b, solve_normal, split_b
 from kreinls.linalg import opnorm
 from kreinls.suites import _trace_saddle_floors
 
@@ -247,7 +247,7 @@ def test_exact_saddle_identities(regime):
         wn = opnorm(p.w)
         for sig in (SignatureOperator.reference(p.space),
                     random_signature_operator(p.space, 100 + seed)):
-            split = split_b(p, sig)
+            split, plus, minus = _split_b(p, _factor(p, None), sig)
             center = _fj(p, split, z, z)
             ds = crandn(rng, 4, 6, 6)
             for b, gaps in ((split.b_plus, _fj(p, split, z + ds, z)),
@@ -259,8 +259,9 @@ def test_exact_saddle_identities(regime):
                     assert opnorm(gap - krein_adjoint(d, p.space) @ m @ d) \
                         <= 1e-12 * scale
             if verify_saddle(p, split, z, 1000, seed).passed:
-                fac, _, vh = _factor(p, None)
-                assert min(_saddle_floors(fac, split, vh)) >= -p.space.tol
+                fac = _factor(p, None)[0]
+                assert min(_saddle_floors(fac, plus, minus)) \
+                    >= -p.space.tol
 
 
 def test_solvers_do_not_sample(monkeypatch):

@@ -10,14 +10,16 @@ import pytest
 
 from conftest import crandn, preimage_frame
 from kreinls import (REGIMES, GeneratorSpec, RankThresholdAmbiguous,
-                     WeightedProblem, generate_instance, normal_solvable,
-                     solve_ims, solve_imms, solve_normal, solve_trace_minmax,
-                     split_b)
+                     SignatureOperator, WeightedProblem, generate_instance,
+                     normal_solvable, solve_ims, solve_imms, solve_normal,
+                     solve_trace_minmax)
 from kreinls.core import krein_adjoint
 from kreinls.jtrace import _saddle_floors
 from kreinls.linalg import herm, null_frame, numerical_rank, opnorm, within
-from kreinls.lsq import _exact_certificate, _factor, _normal_solve
+from kreinls.lsq import (_exact_certificate, _factor, _normal_solve,
+                         _split_b)
 from kreinls.schur import Factorization
+from kreinls.subspaces import orthogonal_companion
 
 
 def reference_normal(p, target, rank_tol=None):
@@ -41,7 +43,8 @@ def reference_normal(p, target, rank_tol=None):
 def reference_preimage(fac):
     """The former rule: the kernel of (I - P_{S^[perp]}) W at ||W||."""
     n = fac.space.dim
-    residual_map = (np.eye(n) - fac.companion.projector()) @ fac.w
+    companion = orthogonal_companion(fac.s, fac.space)
+    residual_map = (np.eye(n) - companion.projector()) @ fac.w
     return null_frame(residual_map, fac.rank_tol, context=fac.norm)
 
 
@@ -97,9 +100,11 @@ def test_preimage_agrees_with_the_residual_map():
 
 def test_saddle_floors_agree_with_the_n_by_n_forms():
     for key, _, p in _problems(seeds=(0, 1)):
-        fac, _, vh = _factor(p, None)
-        split = split_b(p)
-        floors = _saddle_floors(fac, split, vh)
+        factored = _factor(p, None)
+        split, plus, minus = _split_b(
+            p, factored, SignatureOperator.reference(p.space))
+        fac = factored[0]
+        floors = _saddle_floors(fac, plus, minus)
         for sign, b, floor in zip((1.0, -1.0),
                                   (split.b_plus, split.b_minus), floors):
             scale = opnorm(b) ** 2 * p.w_norm

@@ -16,7 +16,7 @@ from kreinls import (REGIMES, DimensionMismatch, GeneratorSpec, KreinError,
                      projection_with_kernel, symmetric_projection, w_split)
 from kreinls.core import krein_sandwich
 from kreinls.linalg import (crand, min_eig_herm, opnorm, same_bits,
-                            scale_of)
+                            scale_of, trace_product)
 from kreinls.schur import Factorization
 from kreinls.subspaces import projections_with_kernel
 
@@ -67,7 +67,7 @@ def loop_oracle(w, s, space, n, seed, include_canonical=False):
     else:
         samples.extend(loop_projection(s, sd) for sd in loop_seeds(seed, n))
     cands = [krein_sandwich(e, w, space) for e in samples]
-    traces = [float(np.trace(space.j_ref @ c).real) for c in cands]
+    traces = [float(trace_product(space.j_ref, c).real) for c in cands]
     return traces, cands
 
 
