@@ -4,7 +4,7 @@
 
 Run it on two checkouts, on the same machine and NumPy/BLAS build (the
 last bits of LAPACK results differ between builds), and compare the
-printed JSON.  Five digests, each a SHA-256 prefix over a fixed corpus:
+printed JSON.  Six digests, each a SHA-256 prefix over a fixed corpus:
 
 - ``suites``: the 7 suite reports at dim 4, count 20, seeds 11 and 12,
   as ``json.dumps(report.to_dict(), sort_keys=True)`` with
@@ -17,6 +17,13 @@ printed JSON.  Five digests, each a SHA-256 prefix over a fixed corpus:
 - ``cli``: exit code, stdout and stderr of the solver commands on dim-8
   and dim-32 problem files of three regimes, of ``verify``, of
   ``generate`` and of a problem file whose W is not selfadjoint;
+- ``evidence``: the full reports of the sampled checks on the
+  ``certificates`` instances, whose passing floors no suite report keeps:
+  the minimality certificate (min and max) and the scalar trace floor
+  certificate at a normal-equation solution, ``verify_saddle`` under the
+  reference and an alternate split, the trace saddle floors,
+  ``projection_infimum_check``, ``oracle_projection_infimum``,
+  ``projections_with_kernel`` and ``verify_trace_laws``;
 - ``decisions``: only the outcome of each ``solvers`` and ``cli`` item:
   ``ok``, the error type or a boolean result for a call, the exit code
   and the error type it printed (or ``ok``) for a command.  A change that
@@ -36,7 +43,10 @@ from pathlib import Path
 import numpy as np
 
 import kreinls as K
+from kreinls.jtrace import _scalar_floor_certificate as scalar_floor_certificate
 from kreinls.problem_io import dump_json, encode_matrix, problem_to_dict
+from kreinls.subspaces import projections_with_kernel
+from kreinls.suites import _trace_saddle_floors as trace_saddle_floors
 
 SRC = Path(K.__file__).resolve().parent.parent
 NUMBERS = (np.ndarray, float, complex, int, bool, np.generic)
@@ -130,33 +140,95 @@ def suites():
     return out
 
 
-def certificates_and_solvers():
-    """The certificates, the solver outputs and the solver decisions."""
-    certs, solves, decisions = {}, {}, {}
+def corpus():
+    """(key, instance) for the 6 regimes at dims 6, 8 and 32, seeds 0
+    and 1."""
     for dim in (6, 8, 32):
         for regime in K.REGIMES:
             for seed in (0, 1):
-                key = f"{regime}.{dim}.{seed}"
-                inst = K.generate_instance(K.GeneratorSpec(
-                    dim=dim, seed=seed, regime=regime))
-                p = inst.problem
-                certs[key] = sha(
-                    json.dumps(inst.certificate, sort_keys=True,
-                               default=repr).encode()
-                    + p.w.tobytes() + p.b.tobytes()
-                    + inst.subspace.frame.tobytes())
-                variants = {
-                    "as_generated": p,
-                    "c_identity": K.WeightedProblem(
-                        w=p.w, b=p.b, c=np.eye(dim), space=p.space),
-                    "w_1e-10": K.WeightedProblem(
-                        w=1e-10 * p.w, b=p.b, c=p.c, space=p.space)}
-                for vname, q in variants.items():
-                    for cname, call in CALLS.items():
-                        item = f"{key}.{vname}.{cname}"
-                        solves[item], decisions[item] = outcome(
-                            lambda: call(inst, q))
+                yield f"{regime}.{dim}.{seed}", K.generate_instance(
+                    K.GeneratorSpec(dim=dim, seed=seed, regime=regime))
+
+
+def certificates_and_solvers():
+    """The certificates, the solver outputs and the solver decisions."""
+    certs, solves, decisions = {}, {}, {}
+    for key, inst in corpus():
+        p, dim = inst.problem, inst.space.dim
+        certs[key] = sha(
+            json.dumps(inst.certificate, sort_keys=True,
+                       default=repr).encode()
+            + p.w.tobytes() + p.b.tobytes()
+            + inst.subspace.frame.tobytes())
+        variants = {
+            "as_generated": p,
+            "c_identity": K.WeightedProblem(
+                w=p.w, b=p.b, c=np.eye(dim), space=p.space),
+            "w_1e-10": K.WeightedProblem(
+                w=1e-10 * p.w, b=p.b, c=p.c, space=p.space)}
+        for vname, q in variants.items():
+            for cname, call in CALLS.items():
+                item = f"{key}.{vname}.{cname}"
+                solves[item], decisions[item] = outcome(
+                    lambda: call(inst, q))
     return certs, solves, decisions
+
+
+def evidence():
+    """The full reports of the sampled checks, 64 samples each, at the
+    normal-equation solution X0 (zero where there is none), for the
+    instance as generated and for a definite twin with J_ref W = I + W*W
+    and B = I, whose order floors are positive: a report keeps only its
+    smallest floor."""
+    out = {}
+    for key, inst in corpus():
+        p, space = inst.problem, inst.space
+        eye = np.eye(space.dim)
+        definite = K.WeightedProblem(
+            w=space.j_ref @ (eye + p.w.conj().T @ p.w), b=eye, c=p.c,
+            space=space)
+        for variant, q in (("as_generated", p), ("definite", definite)):
+            evidence_at(out, f"{key}.{variant}", q, inst.subspace)
+    return out
+
+
+def evidence_at(out, key, p, s):
+    """Add the sampled reports for one problem and subspace to ``out``."""
+    space = p.space
+    try:
+        x0 = K.solve_normal(p)
+    except K.NormalEquationUnsolvable:
+        x0 = np.zeros((space.dim, space.dim), dtype=complex)
+    ref = K.SignatureOperator.reference(space)
+    alt = K.random_signature_operator(space, 5)
+    checks = {
+        "certificate_min": lambda: K.minimality_certificate(
+            p, x0, 64, 1),
+        "certificate_max": lambda: K.minimality_certificate(
+            p, x0, 64, 2, "max"),
+        "saddle_ref": lambda: K.verify_saddle(p, K.split_b(p), x0, 64, 3),
+        "saddle_alt": lambda: K.verify_saddle(p, K.split_b(p, alt), x0,
+                                              64, 4),
+        "scalar_min": lambda: scalar_floor_certificate(
+            p, ref, x0, 64, 5),
+        "scalar_max": lambda: scalar_floor_certificate(
+            p, ref, x0, 64, 5, "max"),
+        "trace_saddle_ref": lambda: trace_saddle_floors(
+            p, ref, K.solve_trace_minmax(p, ref), 64, 6),
+        "trace_saddle_alt": lambda: trace_saddle_floors(
+            p, alt, K.solve_trace_minmax(p, alt), 64, 6),
+        "infimum": lambda: K.projection_infimum_check(
+            p.w, s, space, 64, 7),
+        "oracle": lambda: K.oracle_projection_infimum(
+            p.w, s, space, 64, 8),
+        "oracle_canonical": lambda: K.oracle_projection_infimum(
+            p.w, s, space, 4, 9, include_canonical=True),
+        "projections": lambda: projections_with_kernel(s, [10, 11, 12]),
+        "trace_laws": lambda: K.verify_trace_laws(
+            p.b, p.w, 0.5 + 1j, -2.0, alt, space, seed=13),
+    }
+    for name, check in checks.items():
+        out[f"{key}.{name}"] = outcome(check)[0]
 
 
 def cli():
@@ -204,6 +276,7 @@ def main():
     parts = {"suites": suites()}
     parts["certificates"], parts["solvers"], solver_decisions = \
         certificates_and_solvers()
+    parts["evidence"] = evidence()
     parts["cli"], cli_decisions = cli()
     parts["decisions"] = {"solvers": solver_decisions, "cli": cli_decisions}
     result = {name: sha(json.dumps(items, sort_keys=True))
