@@ -13,11 +13,10 @@ import numpy as np
 
 from .core import SignatureOperator, krein_adjoint
 from .errors import NotComplementable
-from .linalg import (as_complex, crand, g_orthonormalize, min_eig_herm,
-                     opnorm, same_bits, scale_of, trace_product)
-from .lsq import (CertificateReport, SplitB, _f, _factor, _order_floor,
-                  _sample_directions, _solve_imms, _split_b, eval_f, eval_fj,
-                  solve_ims)
+from .linalg import (as_complex, crand, min_eig_herm, opnorm, same_bits,
+                     trace_product)
+from .lsq import (CertificateReport, SplitB, _factor, _order_floor,
+                  _solve_imms, _split_b, eval_f, eval_fj, solve_ims)
 
 
 def as_signature(j, space):
@@ -66,65 +65,6 @@ def hs_norm_assoc(t, j, space):
     sig = as_signature(j, space)
     t = space.check_operator(t)
     return float(np.linalg.norm(sig.gram_sqrt @ t @ sig.gram_isqrt, "fro"))
-
-
-def trace_j_basis_sum(t, j, space, seed=0):
-    """The defining basis sum of the J-trace, evaluated on a seeded random
-    orthonormal basis of the associated Hilbert space.  Used to check
-    basis independence against trace(J T)."""
-    sig = as_signature(j, space)
-    t = space.check_operator(t)
-    rng = np.random.default_rng(seed)
-    raw = crand(rng, space.dim, space.dim)
-    basis = g_orthonormalize(raw, sig.gram)
-    return complex(np.einsum("ia,ij,ja->", basis.conj(),
-                             space.j_ref @ t, basis))
-
-
-@dataclass(frozen=True)
-class TraceLawsReport:
-    """Residuals of the algebraic trace laws on one (S, T, alpha, beta)
-    tuple: linearity, adjoint conjugation, basis independence of the
-    defining sum, the two product-commutation identities, and the
-    trace-norm bound."""
-
-    linearity: float
-    adjoint_conjugation: float
-    basis_independence: float
-    product_commutation: float
-    norm_bound: float
-
-    def residuals(self):
-        return {
-            "linearity": self.linearity,
-            "adjoint_conjugation": self.adjoint_conjugation,
-            "basis_independence": self.basis_independence,
-            "product_commutation": self.product_commutation,
-            "norm_bound": self.norm_bound,
-        }
-
-    def max_residual(self):
-        return max(self.residuals().values())
-
-
-def verify_trace_laws(s, t, alpha, beta, j, space, seed=0):
-    sig = as_signature(j, space)
-    s = space.check_operator(s)
-    t = space.check_operator(t)
-    jm = sig.entries
-    sc = scale_of(s, t) * max(1.0, abs(alpha), abs(beta))
-
-    tr = lambda a: complex(trace_product(jm, a))
-    lin = abs(tr(alpha * t + beta * s) - (alpha * tr(t) + beta * tr(s)))
-    adj = abs(tr(krein_adjoint(t, space)) - np.conj(tr(t)))
-    basis = abs(trace_j_basis_sum(t, sig, space, seed) - tr(t))
-    prod = max(abs(tr(t @ s) - tr(jm @ s @ jm @ t)),
-               abs(tr(t @ s) - tr(s @ jm @ t @ jm)))
-    bound = max(0.0, abs(tr(t)) - trace_norm_assoc(t, sig, space))
-    return TraceLawsReport(
-        linearity=lin / sc, adjoint_conjugation=adj / sc,
-        basis_independence=basis / sc, product_commutation=prod / (sc * sc),
-        norm_bound=bound / sc)
 
 
 @dataclass(frozen=True)
@@ -196,21 +136,6 @@ class TraceMinSolution:
     gradient_certificate: float
 
 
-def _scalar_floor_certificate(p, j, x0, n_samples, seed, sense="min"):
-    """Sampled f_J(X) >= f_J(X0) (or <=, for max) check."""
-    sig = as_signature(j, p.space)
-    base = trace_objective(p, sig, x0)
-    xs = _sample_directions(p.space, x0, n_samples, seed)
-    vals = trace_product(sig.entries, _f(p, xs)).real
-    gaps = vals - base if sense == "min" else base - vals
-    scales = np.maximum(1.0, np.abs(vals))
-    floors = gaps / scales
-    tol = p.space.tol
-    return CertificateReport(
-        n_samples=n_samples, min_floor=float(floors.min()),
-        violations=int((floors < -tol).sum()), tol=tol)
-
-
 def solve_trace_min(p, j, seed=0, rank_tol=None):
     """Minimize tr_J((BX-C)^# W (BX-C)); the minimizers are exactly the
     indefinite minimum solutions, for every signature.
@@ -218,8 +143,8 @@ def solve_trace_min(p, j, seed=0, rank_tol=None):
     ``scalar_certificate`` is the exact order certificate of
     ``solve_ims`` (f_J(X0 + D) - f_J(X0) = tr_J(D^# B^#WB D) >= 0 follows
     from it); ``gradient_certificate`` is the largest |f_J'(X0)| over 8
-    directions drawn from ``seed``.  Sampled evidence is
-    ``_scalar_floor_certificate``.
+    directions drawn from ``seed``.  The sampled trace floors are in
+    ``kreinls.evidence``.
     """
     sig = as_signature(j, p.space)
     ims = solve_ims(p, rank_tol)
@@ -272,7 +197,7 @@ def solve_trace_minmax(p, j, rank_tol=None):
     ``saddle_min_floor`` and ``saddle_max_floor`` are exact: the operator
     order floors of the two saddle sides (``_saddle_floors``), under the
     split along the signature J, which the record carries as ``split``.
-    Sampled evidence is ``verify_saddle`` and the harness's trace floors.
+    Sampled evidence is ``kreinls.evidence``'s saddle and trace floors.
     """
     # J_ref itself: the factorization's reference signature is built once
     reference = not isinstance(j, SignatureOperator) \

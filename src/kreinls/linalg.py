@@ -95,11 +95,6 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def scale_of(*operands):
-    """Harness report normalizer max(1, operand norms); not a decision rule."""
-    return max(1.0, *(opnorm(a) for a in operands)) if operands else 1.0
-
-
 def numerical_rank(sigma, dim, rank_tol=None, context=0.0):
     """Rank from a descending singular-value array.
 

@@ -3,7 +3,8 @@
 Covers the quadratic objective F(X) = (BX-C)^# W (BX-C), the operator
 normal equation, the indefinite minimum solver (and its maximization
 mirror), the pointwise vector variant, the two-sided range split
-B = B_+ + B_-, and the min-max solver with saddle certificates.
+B = B_+ + B_-, and the min-max solver, each certified exactly (the
+sampled checks are in ``evidence``).
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .subspaces import WSplit, range_subspace, svd_span
 
 
 # Largest accepted max(||B||, ||C||)^2 ||W|| (Frobenius norms).  The
-# product bounds every entry of B^#WB, B^#WC and C^#WC; the harness's
+# product bounds every entry of B^#WB, B^#WC and C^#WC; ``evidence``'s
 # sampled certificates evaluate F at up to about 100 dim^2 times that scale,
 # which stays below the largest double, 1.8e308, up to dim 1,000.
 OPERAND_LIMIT = 1e300
@@ -90,14 +91,10 @@ def _factor(p, rank_tol, reference=None):
                           reference=reference), sigma, vh)
 
 
-def _f(p, x):
-    """F(X) for an operator or a stack of them."""
-    return krein_sandwich(p.b @ x - p.c, p.w, p.space)
-
-
 def eval_f(p, x):
     """F(X) = (BX - C)^# W (BX - C); always [.,.]-selfadjoint."""
-    return _f(p, p.space.check_operator(x))
+    return krein_sandwich(p.b @ p.space.check_operator(x) - p.c, p.w,
+                          p.space)
 
 
 def _normal_solve(p, factored, target, target_norm=None):
@@ -179,39 +176,6 @@ class CertificateReport:
         return self.violations == 0
 
 
-def _sample_directions(space, anchor, n_samples, seed):
-    """Matrices anchor + t * R at log-spaced scales t; mixing scales makes
-    first-order optimality violations visible alongside global ones."""
-    rng = np.random.default_rng(seed)
-    d = space.dim
-    r = crand(rng, n_samples, d, d)
-    r /= np.maximum(1e-12, np.abs(r).max(axis=(1, 2)))[:, None, None]
-    t = np.logspace(-2, 1, n_samples)
-    return anchor + t[:, None, None] * r
-
-
-def _order_floors(space, diffs):
-    """Normalized smallest eigenvalues of J_ref * diff for a stack of
-    differences that should be positive in the indefinite order."""
-    eigs = np.linalg.eigvalsh(herm(space.j_ref @ diffs))
-    scales = np.maximum(1.0, np.abs(eigs).max(axis=1))
-    return eigs.min(axis=1) / scales
-
-
-def minimality_certificate(p, x0, n_samples=64, seed=0, sense="min"):
-    """Sampled check that F(X) - F(X0) (or its negative, for the maximum
-    problem) stays positive in the indefinite order."""
-    xs = _sample_directions(p.space, x0, n_samples, seed)
-    diffs = _f(p, xs) - eval_f(p, x0)
-    if sense == "max":
-        diffs = -diffs
-    floors = _order_floors(p.space, diffs)
-    tol = p.space.tol
-    return CertificateReport(
-        n_samples=n_samples, min_floor=float(floors.min()),
-        violations=int((floors < -tol).sum()), tol=tol)
-
-
 @dataclass(frozen=True, eq=False)
 class ImsSolution:
     """Indefinite minimum (or maximum) solution record."""
@@ -290,7 +254,8 @@ def solve_ims(p, rank_tol=None):
     value when the weight is complementable, and an exact dominance
     certificate: F(X0 + D) - F(X0) = D^# (B^#WB) D, so its floor is the
     smallest eigenvalue of herm(J_ref B^#WB) over ||B||^2 ||W||
-    (``n_samples`` 0).  Sampled evidence is ``minimality_certificate``.
+    (``n_samples`` 0).  Sampled evidence is
+    ``evidence.minimality_certificate``.
     """
     return _solve_extremal(p, "min", rank_tol)
 
@@ -369,16 +334,12 @@ def _split_b(p, factored, signature):
             (vp, lp), (vm, lm))
 
 
-def _fj(p, split, x, y):
-    """F_J(X, Y) where either argument may be a stack of operators."""
-    return krein_sandwich(split.b_plus @ x + split.b_minus @ y - p.c, p.w,
-                          p.space)
-
-
 def eval_fj(p, split, x, y):
     """Two-variable objective F_J(X, Y); F_J(X, X) = F(X)."""
-    return _fj(p, split, p.space.check_operator(x),
-               p.space.check_operator(y))
+    x = p.space.check_operator(x)
+    y = p.space.check_operator(y)
+    return krein_sandwich(split.b_plus @ x + split.b_minus @ y - p.c, p.w,
+                          p.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,48 +398,3 @@ def neutral_shift(p, seed, rank_tol=None):
     # pinv(B) = V_k Σ^-1 S*
     mix = crand(rng, kernel.shape[1], p.space.dim)
     return vh.conj().T @ ((kernel @ mix) / sigma[:, None])
-
-
-@dataclass(frozen=True)
-class SaddleReport:
-    """Operator-order saddle evidence F_J(Z, Y) <= F_J(Z, Z) <= F_J(X, Z)
-    over sampled X and Y."""
-
-    n_samples: int
-    min_floor_min_side: float
-    min_floor_max_side: float
-    violations_min_side: int
-    violations_max_side: int
-    tol: float
-
-    @property
-    def passed(self):
-        return self.violations_min_side == 0 and self.violations_max_side == 0
-
-
-def _saddle_sides(p, split, z, n_samples, seed):
-    """F_J(X_i, Z) over sampled X, then F_J(Z, Y_i) over sampled Y.
-
-    Each side's samples are drawn only when it is asked for, so one
-    side's stacks are never held alongside the other's.
-    """
-    yield _fj(p, split, _sample_directions(p.space, z, n_samples, seed), z)
-    yield _fj(p, split, z, _sample_directions(p.space, z, n_samples,
-                                              seed + 1))
-
-
-def verify_saddle(p, split, sol, n_samples=64, seed=0):
-    """Sample the two saddle inequalities around a candidate solution."""
-    z = sol.z if hasattr(sol, "z") else p.space.check_operator(sol)
-    center = eval_fj(p, split, z, z)
-    sides = _saddle_sides(p, split, z, n_samples, seed)
-    floors_min = _order_floors(p.space, next(sides) - center)
-    floors_max = _order_floors(p.space, center - next(sides))
-    tol = p.space.tol
-    return SaddleReport(
-        n_samples=n_samples,
-        min_floor_min_side=float(floors_min.min()),
-        min_floor_max_side=float(floors_max.min()),
-        violations_min_side=int((floors_min < -tol).sum()),
-        violations_max_side=int((floors_max < -tol).sum()),
-        tol=tol)

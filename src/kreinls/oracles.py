@@ -14,10 +14,10 @@ import numpy as np
 
 from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
+from .evidence import projection_stacks
 from .linalg import null_frame, pinv, trace_product
 from .lsq import split_b
-from .subspaces import (_projection_stacks, is_w_nonnegative,
-                        symmetric_projection)
+from .subspaces import is_w_nonnegative, symmetric_projection
 
 
 def oracle_sum_dimension(p, s, rank_tol=None):
@@ -50,7 +50,7 @@ def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
     E0 = I - Q, which attains the infimum exactly."""
     if not is_w_nonnegative(w, s, space):
         raise RangeNotNonnegative("S is not W-nonnegative")
-    stacks = _projection_stacks(s, n, seed)
+    stacks = projection_stacks(s, n, seed)
     if include_canonical:
         q = symmetric_projection(w, s, space)
         stacks = chain([(np.eye(space.dim) - q)[None]], stacks)

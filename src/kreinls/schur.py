@@ -4,7 +4,7 @@ The factorization of a weight relative to a subspace (``Factorization``),
 the block decomposition, the complementability test, the
 Anderson-Trapp style Schur complement with its certificates, the
 three-term decomposition W = W1 + W2 - W3, and the report-producing
-identity checks.
+identity checks.  The sampled infimum check is in ``evidence``.
 
 All alternate-signature computations run in the associated inner product
 (Gram G = J_ref * J'); the compressed blocks are Hermitian there, and the
@@ -12,7 +12,7 @@ resulting Schur complement agrees with the reference-signature one to
 rounding, which is exactly what the J-independence suites certify.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,11 +20,11 @@ import numpy as np
 from .core import (SignatureOperator, krein_sandwich,
                    random_signature_operator, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, NotComplementable,
-                     NotWeaklyComplementable, RangeNotNonnegative)
+                     NotWeaklyComplementable)
 from .linalg import (Norm, excess, generalized_eigh, herm,
                      herm_sign_and_root, g_orthonormalize, kept_eigenvalues,
                      min_eig_herm, null_frame, opnorm, sign_and_root, within)
-from .subspaces import Subspace, WSplit, _projection_stacks
+from .subspaces import Subspace, WSplit
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,13 +382,7 @@ class SchurIdentityReport:
     weight_norm: float
 
     def residuals(self):
-        return {
-            "iterated_plus_minus": self.iterated_plus_minus,
-            "iterated_minus_plus": self.iterated_minus_plus,
-            "three_term": self.three_term,
-            "projection_formula": self.projection_formula,
-            "cross_signature": self.cross_signature,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "weight_norm"}
 
     def max_residual(self):
         return max(self.residuals().values())
@@ -433,47 +427,3 @@ def verify_schur_identities(w, s, space, seed=0, rank_tol=None):
         projection_formula=opnorm(schur - w_iq) / wn,
         cross_signature=opnorm(schur - alt_schur) / wn,
         weight_norm=wn)
-
-
-@dataclass(frozen=True)
-class ProjectionInfimumReport:
-    """Sampled-projection lower-bound evidence for the infimum
-    characterization of the Schur complement."""
-
-    n_samples: int
-    min_floor: float          # most negative normalized eigenvalue seen
-    equality_residual: float  # || E0^# W E0 - W_{/[S]} || / ||W||
-    violations: int           # samples whose floor broke the tolerance
-
-    def passed(self):
-        return self.violations == 0
-
-
-def projection_infimum_check(w, s, space, n_samples, seed, rank_tol=None):
-    """For sampled projections E with N(E) = S, certify that E^# W E
-    dominates the Schur complement in the indefinite order, and that
-    E0 = I - Q attains equality.  Requires S to be W-nonnegative."""
-    fac = Factorization(w, s, space, rank_tol)
-    w = fac.w
-    if not fac.nonnegative:
-        raise RangeNotNonnegative("S is not W-nonnegative")
-    if not fac.complementable:
-        raise NotWeaklyComplementable("weight is not weakly complementable")
-    schur = fac.schur.schur
-    wn = max(fac.norm, np.finfo(float).tiny)
-
-    e0 = np.eye(space.dim) - fac.q
-    eq_resid = opnorm(krein_sandwich(e0, w, space) - schur) / wn
-
-    floors = [np.empty(0)]      # n_samples = 0 draws no stack
-    for es in _projection_stacks(s, n_samples, seed):
-        gaps = krein_sandwich(es, w, space) - schur
-        # the report normalizer max(scale_of(gap), max(1, ||W||))
-        floors.append(np.linalg.eigvalsh(herm(space.j_ref @ gaps)).min(axis=1)
-                      / np.maximum(np.linalg.norm(gaps, 2, axis=(1, 2)),
-                                   max(1.0, fac.norm)))
-    floors = np.concatenate(floors)
-    return ProjectionInfimumReport(
-        n_samples=len(floors), min_floor=float(floors.min(initial=np.inf)),
-        equality_residual=eq_resid,
-        violations=int((floors < -space.tol).sum()))

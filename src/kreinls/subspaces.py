@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import SignatureOperator, _frozen
 from .errors import DimensionMismatch
-from .linalg import (as_complex, crand, min_eig_herm, null_frame,
-                     numerical_rank, opnorm, within)
+from .linalg import (as_complex, min_eig_herm, null_frame, numerical_rank,
+                     opnorm, within)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,48 +196,3 @@ def symmetric_projection(w, s, space, rank_tol=None):
     """
     from .schur import Factorization
     return Factorization(w, s, space, rank_tol).q
-
-
-def projection_with_kernel(s, seed, mix_strength=1.5):
-    """Seeded sampler for the family {E : E^2 = E, N(E) = S}."""
-    return projections_with_kernel(s, [seed], mix_strength)[0]
-
-
-def projections_with_kernel(s, seeds, mix_strength=1.5):
-    """One sample of {E : E^2 = E, N(E) = S} per seed, as a stack of
-    shape (len(seeds), dim, dim).
-
-    Each range is a random complement of S: the graph of a map from S^perp
-    into S drawn from ``default_rng(seed)`` and scaled down to norm
-    ``mix_strength`` when larger, so the sample stays well conditioned.
-    """
-    n = s.ambient_dim
-    k = s.dim
-    if k >= n:
-        raise DimensionMismatch("S must be a proper subspace")
-    if k == 0:
-        return np.repeat(np.eye(n, dtype=complex)[None], len(seeds), axis=0)
-    ells = np.stack([crand(np.random.default_rng(seed), k, n - k)
-                     for seed in seeds])
-    norms = np.linalg.norm(ells, 2, axis=(1, 2))
-    big = norms > mix_strength
-    ells[big] *= (mix_strength / norms[big])[:, None, None]
-    v = s.coordinate_complement().frame
-    c = v + s.frame @ ells              # complement frames (not orthonormal)
-    return c @ np.linalg.inv(v.conj().T @ c) @ v.conj().T
-
-
-def _projection_stacks(s, n_samples, seed):
-    """``n_samples`` seeded samples of {E : E^2 = E, N(E) = S} (E = 0
-    alone when S is the whole space), yielded in blocks whose
-    (n, dim, dim) complex stacks take at most 4 MiB each, which bounds the
-    memory of a sampled check at any dimension."""
-    dim = s.ambient_dim
-    if s.dim >= dim:
-        yield np.zeros((1, dim, dim), dtype=complex)
-        return
-    seeds = np.random.default_rng(seed).integers(0, 2**63,
-                                                 size=n_samples).tolist()
-    step = max(1, (4 << 20) // (16 * dim * dim))
-    for i in range(0, n_samples, step):
-        yield projections_with_kernel(s, seeds[i:i + step])

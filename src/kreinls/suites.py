@@ -15,21 +15,22 @@ from .core import (SignatureOperator, krein_adjoint, krein_sandwich,
                    random_signature_operator, standard_space)
 from .errors import (NormalEquationUnsolvable, RangeNotNonnegative,
                      RangeNotNonpositive, UnknownSuite)
+from .evidence import (check_sampling, minimality_certificate,
+                       projection_infimum_check, scalar_floor_certificate,
+                       scale_of, trace_saddle_floors, verify_saddle,
+                       verify_trace_laws)
 from .generate import GeneratorSpec, generate_instance
-from .jtrace import (_scalar_floor_certificate, change_of_signature,
-                     frechet_derivative, frechet_fd, js2_inner,
-                     js2_signature_identity, solve_trace_min,
-                     solve_trace_minmax, trace_j, trace_objective_xy,
-                     verify_trace_laws)
-from .linalg import crand, min_eig_herm, opnorm, scale_of, trace_product
-from .lsq import (WeightedProblem, _saddle_sides, eval_f, eval_fj,
-                  minimality_certificate, neutral_shift, normal_residual,
-                  normal_solvable, solve_ims, solve_ims_max, solve_imms,
-                  solve_wils_vector, split_b, verify_saddle)
+from .jtrace import (change_of_signature, frechet_derivative, frechet_fd,
+                     js2_inner, js2_signature_identity, solve_trace_min,
+                     solve_trace_minmax, trace_j)
+from .linalg import crand, min_eig_herm, opnorm, trace_product
+from .lsq import (WeightedProblem, eval_f, eval_fj, neutral_shift,
+                  normal_residual, normal_solvable, solve_ims, solve_ims_max,
+                  solve_imms, solve_wils_vector, split_b)
 from .oracles import (minmax_order_gap, oracle_parameter_sweep,
                       oracle_projection_infimum, oracle_sum_dimension)
-from .schur import (is_weakly_complementable, projection_infimum_check,
-                    schur_complement, verify_schur_identities)
+from .schur import (is_weakly_complementable, schur_complement,
+                    verify_schur_identities)
 from .subspaces import is_complementable, is_w_nonnegative
 
 IDENTITY_RTOL = 1e-8
@@ -151,8 +152,7 @@ def _suite_infimum(report, spec, count, dim, seed, cond_bound, samples):
     for inst in _instances(report, regimes, spec, count, dim, seed,
                            cond_bound):
         w, s, space = inst.problem.w, inst.subspace, inst.space
-        chk = projection_infimum_check(w, s, space, n_samples=samples,
-                                       seed=inst.spec.seed)
+        chk = projection_infimum_check(w, s, space, samples, inst.spec.seed)
         report.record_floor("sampled_lower_bound", chk.min_floor, FLOOR_TOL)
         report.record_bool("no_floor_violations", chk.violations == 0)
         report.record("equality_at_canonical", chk.equality_residual,
@@ -197,9 +197,8 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
                "range_nonpositive")
     for inst in _instances(report, regimes, spec, count, dim, seed,
                            cond_bound):
-        space = inst.space
-        p_eye = WeightedProblem(w=inst.problem.w,
-                                b=inst.problem.b,
+        p, space = inst.problem, inst.space
+        p_eye = WeightedProblem(w=p.w, b=p.b,
                                 c=np.eye(space.dim, dtype=complex),
                                 space=space)
         ci, cii, ciii = _theorem_conditions(p_eye)
@@ -219,58 +218,49 @@ def _suite_minimum(report, spec, count, dim, seed, cond_bound, samples):
                                    "wrong rejection reason")
         elif regime in ("range_nonpositive", "range_indefinite"):
             try:
-                solve_ims(inst.problem)
+                solve_ims(p)
                 report.record_bool("rejects_wrong_sign", False,
                                    "accepted a wrong-signed range")
             except RangeNotNonnegative:
                 report.record_bool("rejects_wrong_sign", True)
 
         if regime == "range_nonpositive":
-            sol = solve_ims_max(inst.problem)
+            sol = solve_ims_max(p)
             report.record("max_value_identity",
                           opnorm(sol.extremal_value - sol.schur_value)
-                          / scale_of(inst.problem.w, inst.problem.c),
-                          IDENTITY_RTOL)
-            cert = minimality_certificate(inst.problem, sol.x0, samples,
-                                          inst.spec.seed, "max")
+                          / scale_of(p.w, p.c), IDENTITY_RTOL)
+            cert = minimality_certificate(p, sol.x0, samples, inst.spec.seed,
+                                          "max")
             report.record_floor("max_order_certificate", cert.min_floor,
                                 FLOOR_TOL)
             try:
-                solve_ims_max(_flip_problem(inst.problem))
+                solve_ims_max(_flip_problem(p))
                 report.record_bool("max_rejects_wrong_sign", False,
                                    "accepted a wrong-signed range")
             except RangeNotNonpositive:
                 report.record_bool("max_rejects_wrong_sign", True)
 
         if ci:
-            sol = solve_ims(inst.problem)
+            sol = solve_ims(p)
             report.record("min_value_identity",
                           opnorm(sol.extremal_value - sol.schur_value)
-                          / scale_of(inst.problem.w, inst.problem.c),
-                          IDENTITY_RTOL)
+                          / scale_of(p.w, p.c), IDENTITY_RTOL)
             report.record("normal_residual", sol.normal_residual,
-                          space.tol * scale_of(inst.problem.w,
-                                               inst.problem.b))
-            cert = minimality_certificate(inst.problem, sol.x0, samples,
-                                          inst.spec.seed)
+                          space.tol * scale_of(p.w, p.b))
+            cert = minimality_certificate(p, sol.x0, samples, inst.spec.seed)
             report.record_floor("min_order_certificate", cert.min_floor,
                                 FLOOR_TOL)
 
             rng = np.random.default_rng(inst.spec.seed)
             y = crand(rng, space.dim)
-            z = solve_wils_vector(inst.problem, y)
-            bw = krein_adjoint(inst.problem.b, space) @ inst.problem.w
-            resid = np.linalg.norm(bw @ (inst.problem.b @ z - y))
+            z = solve_wils_vector(p, y)
+            bw = krein_adjoint(p.b, space) @ p.w
+            resid = np.linalg.norm(bw @ (p.b @ z - y))
             report.record("wils_normal_residual", resid,
-                          space.tol * scale_of(inst.problem.w,
-                                               inst.problem.b))
-            xy = sol.x0 @ y
-            resid_x = np.linalg.norm(
-                bw @ (inst.problem.b @ xy - inst.problem.c @ y))
+                          space.tol * scale_of(p.w, p.b))
+            resid_x = np.linalg.norm(bw @ (p.b @ (sol.x0 @ y) - p.c @ y))
             report.record("operator_solution_is_pointwise", resid_x,
-                          space.tol * scale_of(inst.problem.w,
-                                               inst.problem.b,
-                                               inst.problem.c))
+                          space.tol * scale_of(p.w, p.b, p.c))
 
 
 def _flip_problem(p):
@@ -289,8 +279,7 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
             report.record(f"split_{name}", value,
                           FLOOR_TOL * scale_of(p.w, p.b))
 
-        rng = np.random.default_rng(inst.spec.seed)
-        x = crand(rng, space.dim, space.dim)
+        x = crand(np.random.default_rng(inst.spec.seed), space.dim, space.dim)
         diag_gap = opnorm(eval_fj(p, split, x, x) - eval_f(p, x))
         report.record("fj_diagonal_identity", diag_gap,
                       space.tol * scale_of(p.w, p.b, p.c, x))
@@ -299,17 +288,15 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
         report.record("minmax_value_identity",
                       opnorm(sol.minmax_value - sol.schur_value)
                       / scale_of(p.w, p.c), IDENTITY_RTOL)
-        saddle = verify_saddle(p, split, sol, n_samples=samples,
-                               seed=inst.spec.seed)
+        saddle = verify_saddle(p, split, sol, samples, inst.spec.seed)
         report.record_floor("saddle_min_side", saddle.min_floor_min_side,
                             FLOOR_TOL)
         report.record_floor("saddle_max_side", saddle.min_floor_max_side,
                             FLOOR_TOL)
 
         alt = random_signature_operator(space, inst.spec.seed + 7)
-        alt_split = split_b(p, alt)
-        alt_saddle = verify_saddle(p, alt_split, sol, n_samples=samples,
-                                   seed=inst.spec.seed + 8)
+        alt_saddle = verify_saddle(p, split_b(p, alt), sol, samples,
+                                   inst.spec.seed + 8)
         report.record_bool("solution_j_independent", alt_saddle.passed,
                            "solution failed the alternate-split saddle")
 
@@ -323,9 +310,8 @@ def _suite_minmax(report, spec, count, dim, seed, cond_bound, samples):
             report.record("shifted_normal_residual",
                           normal_residual(p, shifted),
                           space.tol * scale_of(p.w, p.b, p.c, shifted))
-            shift_saddle = verify_saddle(p, split, shifted,
-                                         n_samples=samples,
-                                         seed=inst.spec.seed + 10)
+            shift_saddle = verify_saddle(p, split, shifted, samples,
+                                         inst.spec.seed + 10)
             report.record_bool("shifted_solution_accepted",
                                shift_saddle.passed,
                                "Z1 + neutral Z2 failed the saddle check")
@@ -356,9 +342,8 @@ def _trace_dependence_example():
     space = standard_space(1, 1)
     t = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
     jb = np.array([[5.0, -4.0], [4.0, -5.0]], dtype=complex) / 3.0
-    va = trace_j(t, space.j_ref, space).value
-    vb = trace_j(t, jb, space).value
-    return va, vb
+    return (trace_j(t, space.j_ref, space).value,
+            trace_j(t, jb, space).value)
 
 
 def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
@@ -395,20 +380,6 @@ def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
                           abs(analytic - numeric) / denom, FD_RTOL)
 
 
-def _trace_saddle_floors(p, sig, sol, n_samples, seed):
-    """Sampled trace saddle floors around a trace min-max solution:
-    tr_J(F_J(X_i, Z)) - f_J(Z, Z) and f_J(Z, Z) - tr_J(F_J(Z, Y_i)) over
-    sampled X and Y, relative to max(1, |f_J(Z, Z)|), under the solution's
-    own split along ``sig``."""
-    base = trace_objective_xy(p, sol.split, sig, sol.z, sol.z)
-    scale = max(1.0, abs(base))
-    sides = _saddle_sides(p, sol.split, sol.z, n_samples, seed)
-    traces = lambda stack: trace_product(sig.entries, stack).real
-    min_floor = ((traces(next(sides)) - base) / scale).min()
-    max_floor = ((base - traces(next(sides))) / scale).min()
-    return float(min_floor), float(max_floor)
-
-
 def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
     regimes = ("range_nonnegative", "range_indefinite", "neutral_directions")
     for inst in _instances(report, regimes, spec, count, dim, seed,
@@ -425,8 +396,8 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
             sol = solve_trace_min(p, ref, seed=inst.spec.seed)
             report.record("trace_min_closed_form",
                           abs(sol.value - closed) / den, IDENTITY_RTOL)
-            cert = _scalar_floor_certificate(p, ref, sol.x0, samples,
-                                             inst.spec.seed)
+            cert = scalar_floor_certificate(p, ref, sol.x0, samples,
+                                            inst.spec.seed)
             report.record_floor("trace_min_certificate", cert.min_floor,
                                 FLOOR_TOL)
             report.record("trace_min_gradient", sol.gradient_certificate,
@@ -440,8 +411,8 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
         sol_mm = solve_trace_minmax(p, ref)
         report.record("trace_minmax_closed_form",
                       abs(sol_mm.value - closed) / den, IDENTITY_RTOL)
-        min_floor, max_floor = _trace_saddle_floors(p, ref, sol_mm, samples,
-                                                    inst.spec.seed)
+        min_floor, max_floor = trace_saddle_floors(p, ref, sol_mm, samples,
+                                                   inst.spec.seed)
         report.record_floor("trace_minmax_min_floor", min_floor, FLOOR_TOL)
         report.record_floor("trace_minmax_max_floor", max_floor, FLOOR_TOL)
         if dim <= 4:
@@ -451,8 +422,8 @@ def _suite_trace_opt(report, spec, count, dim, seed, cond_bound, samples):
 
         alt = random_signature_operator(space, inst.spec.seed + 5)
         sol_alt = solve_trace_minmax(p, alt)
-        min_floor, max_floor = _trace_saddle_floors(p, alt, sol_alt, samples,
-                                                    inst.spec.seed)
+        min_floor, max_floor = trace_saddle_floors(p, alt, sol_alt, samples,
+                                                   inst.spec.seed)
         report.record_floor("alt_signature_min_floor", min_floor, FLOOR_TOL)
         report.record_floor("alt_signature_max_floor", max_floor, FLOOR_TOL)
         chg = change_of_signature(closed_matrix, ref, alt, space)
@@ -514,6 +485,8 @@ def run_suite(name, spec=None, count=20, dim=4, seed=0, cond_bound=10.0,
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}")
     fn, default_samples = _SUITES[name]
+    if samples is not None:
+        check_sampling(samples, name="samples")
     if spec is not None:
         dim = spec.dim
         seed = spec.seed

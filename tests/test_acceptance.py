@@ -22,7 +22,8 @@ from kreinls import (GeneratorSpec, NormalEquationUnsolvable,
                      solve_imms, solve_trace_min, solve_trace_minmax,
                      split_b, standard_space, trace_j, verify_saddle,
                      verify_schur_identities)
-from kreinls.linalg import opnorm, scale_of
+from kreinls.evidence import scale_of
+from kreinls.linalg import opnorm
 
 
 @pytest.fixture

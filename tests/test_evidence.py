@@ -1,0 +1,97 @@
+"""The harness's sampled evidence: where it may be imported from, and the
+arguments it accepts."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import kreinls
+from kreinls import (SUITE_NAMES, GeneratorSpec, MalformedInput,
+                     SignatureOperator, evidence, generate_instance,
+                     run_suite, solve_imms, solve_trace_minmax, split_b)
+
+SOLVERS = ("core", "linalg", "subspaces", "schur", "lsq", "jtrace")
+HARNESS = {"evidence", "suites", "oracles", "generate"}
+
+
+def kreinls_imports(module):
+    """(kreinls module, imported name or None) for every import of a
+    kreinls module in ``kreinls/<module>.py``, function-level ones
+    included."""
+    path = Path(kreinls.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = ("kreinls." * bool(node.level) + (node.module or "")) \
+                .rstrip(".")
+            for alias in node.names:
+                if base == "kreinls":
+                    yield alias.name, None
+                elif base.startswith("kreinls."):
+                    yield base.split(".")[1], alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "kreinls" and len(parts) > 1:
+                    yield parts[1], None
+
+
+@pytest.mark.parametrize("module", SOLVERS)
+def test_solver_modules_do_not_import_the_harness(module):
+    imported = {m for m, _ in kreinls_imports(module)}
+    assert "errors" in imported        # the walk sees this module's imports
+    assert not imported & HARNESS
+
+
+@pytest.mark.parametrize("module", ("suites", "oracles"))
+def test_harness_imports_no_private_name(module):
+    names = list(kreinls_imports(module))
+    assert names
+    assert [(m, n) for m, n in names if n and n.startswith("_")] == []
+
+
+@pytest.fixture(scope="module")
+def case():
+    inst = generate_instance(GeneratorSpec(dim=4, seed=0,
+                                           regime="range_nonnegative"))
+    p = inst.problem
+    ref = SignatureOperator.reference(p.space)
+    return dict(p=p, s=inst.subspace, ref=ref, z=solve_imms(p).z,
+                split=split_b(p), trace=solve_trace_minmax(p, ref))
+
+
+CHECKS = {
+    "minimality_certificate": lambda c, n, sense:
+        evidence.minimality_certificate(c["p"], c["z"], n, 0, sense),
+    "scalar_floor_certificate": lambda c, n, sense:
+        evidence.scalar_floor_certificate(c["p"], c["ref"], c["z"], n, 0,
+                                          sense),
+    "verify_saddle": lambda c, n, sense:
+        evidence.verify_saddle(c["p"], c["split"], c["z"], n, 0),
+    "trace_saddle_floors": lambda c, n, sense:
+        evidence.trace_saddle_floors(c["p"], c["ref"], c["trace"], n, 0),
+    "projection_infimum_check": lambda c, n, sense:
+        evidence.projection_infimum_check(c["p"].w, c["s"], c["p"].space, n,
+                                          0),
+    **{f"run_suite:{name}": lambda c, n, sense, name=name:
+       run_suite(name, count=1, samples=n) for name in SUITE_NAMES},
+}
+WITH_SENSE = ("minimality_certificate", "scalar_floor_certificate")
+BAD = [(n, "min", "samples") for n in (0, -1, 2.5)] \
+    + [(8, "maximum", "sense")]
+
+
+@pytest.mark.parametrize("check,n,sense,argument", [
+    (check, n, sense, argument) for check in CHECKS
+    for n, sense, argument in BAD
+    if argument == "samples" or check in WITH_SENSE])
+def test_bad_sample_count_or_sense_is_malformed_input(case, check, n, sense,
+                                                      argument):
+    """A count below 1 (or not an integer), or a sense other than "min" or
+    "max", raises MalformedInput naming the argument, where it used to end
+    in a NumPy error, a TypeError, or a silent minimum check."""
+    if argument == "samples":
+        argument = "samples" if check.startswith("run_suite") \
+            else "n_samples"
+    with pytest.raises(MalformedInput, match=f"^{argument} must be"):
+        CHECKS[check](case, n, sense)

@@ -17,8 +17,9 @@ from kreinls import (REGIMES, GeneratorSpec, KreinError, MinMaxUnsolvable,
                      solve_wils_vector, split_b, verify_saddle,
                      wils_objective)
 from kreinls.core import krein_sandwich
+from kreinls.evidence import fj_stack
 from kreinls.linalg import min_eig_herm, opnorm
-from kreinls.lsq import (OPERAND_LIMIT, _exact_certificate, _factor, _fj,
+from kreinls.lsq import (OPERAND_LIMIT, _exact_certificate, _factor,
                          _normal_solve)
 
 
@@ -375,8 +376,10 @@ def test_stacked_sandwich_matches_per_operator(regime):
         cases = [
             (krein_sandwich(p.b @ xs - p.c, p.w, p.space),
              [eval_f(p, x) for x in xs]),
-            (_fj(p, split, xs, z), [eval_fj(p, split, x, z) for x in xs]),
-            (_fj(p, split, z, ys), [eval_fj(p, split, z, y) for y in ys]),
+            (fj_stack(p, split, xs, z),
+             [eval_fj(p, split, x, z) for x in xs]),
+            (fj_stack(p, split, z, ys),
+             [eval_fj(p, split, z, y) for y in ys]),
         ]
         for stack, singles in cases:
             assert stack.shape == (5, 6, 6)

@@ -19,7 +19,8 @@ from kreinls import (REGIMES, GeneratorSpec, generate_instance,
                      krein_adjoint, random_signature_operator, standard_space,
                      w_split)
 from kreinls.core import _krein_skew
-from kreinls.linalg import expm, generalized_eigh, herm, opnorm, scale_of
+from kreinls.evidence import scale_of
+from kreinls.linalg import expm, generalized_eigh, herm, opnorm
 
 EPS = np.finfo(float).eps
 SPACES = [(1, 1), (3, 2), (2, 5), (4, 4)]

@@ -15,10 +15,10 @@ from kreinls import (REGIMES, DimensionMismatch, GeneratorSpec, KreinError,
                      oracle_projection_infimum, projection_infimum_check,
                      projection_with_kernel, symmetric_projection, w_split)
 from kreinls.core import krein_sandwich
+from kreinls.evidence import projections_with_kernel, scale_of
 from kreinls.linalg import (crand, min_eig_herm, opnorm, same_bits,
-                            scale_of, trace_product)
+                            trace_product)
 from kreinls.schur import Factorization
-from kreinls.subspaces import projections_with_kernel
 
 
 def loop_projection(s, seed, mix_strength=1.5):

@@ -43,10 +43,9 @@ from pathlib import Path
 import numpy as np
 
 import kreinls as K
-from kreinls.jtrace import _scalar_floor_certificate as scalar_floor_certificate
+from kreinls.evidence import (projections_with_kernel,
+                              scalar_floor_certificate, trace_saddle_floors)
 from kreinls.problem_io import dump_json, encode_matrix, problem_to_dict
-from kreinls.subspaces import projections_with_kernel
-from kreinls.suites import _trace_saddle_floors as trace_saddle_floors
 
 SRC = Path(K.__file__).resolve().parent.parent
 NUMBERS = (np.ndarray, float, complex, int, bool, np.generic)
