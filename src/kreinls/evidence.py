@@ -4,7 +4,9 @@ The solvers certify their results exactly, and no solver module imports
 this one.  It holds the samplers, the sampled order and trace floors, the
 projection-infimum and trace-law reports, and the report normalizers
 max(1, |eigs|), max(1, |vals|), max(1, |base|), max(||gap||, max(1,
-||W||)) and ``scale_of``, which are not decision rules.
+||W||)) and ``scale_of``, which are not decision rules.  Each sampler
+call draws from one ``default_rng(seed)``: a stack of directions in one
+draw, or the projections' maps in one draw per block.
 """
 
 import numbers
@@ -27,12 +29,12 @@ def scale_of(*operands):
     return max(1.0, *(opnorm(a) for a in operands)) if operands else 1.0
 
 
-def check_sampling(n_samples, sense="min", name="n_samples"):
+def check_sampling(n_samples, sense="min", name="n_samples", low=1):
     """Raise MalformedInput unless the count (argument ``name``) is an
-    integer of at least 1 and ``sense`` is "min" or "max"."""
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
-        raise MalformedInput(
-            f"{name} must be an integer of at least 1, got {n_samples!r}")
+    integer of at least ``low`` and ``sense`` is "min" or "max"."""
+    if not isinstance(n_samples, numbers.Integral) or n_samples < low:
+        raise MalformedInput(f"{name} must be an integer of at least {low}, "
+                             f"got {n_samples!r}")
     if sense not in ("min", "max"):
         raise MalformedInput(f"sense must be 'min' or 'max', got {sense!r}")
 
@@ -149,47 +151,38 @@ def trace_saddle_floors(p, sig, sol, n_samples, seed):
 
 
 def projection_with_kernel(s, seed, mix_strength=1.5):
-    """Seeded sampler for the family {E : E^2 = E, N(E) = S}."""
-    return projections_with_kernel(s, [seed], mix_strength)[0]
-
-
-def projections_with_kernel(s, seeds, mix_strength=1.5):
-    """One sample of {E : E^2 = E, N(E) = S} per seed, as a stack of
-    shape (len(seeds), dim, dim).
-
-    Each range is a random complement of S: the graph of a map from S^perp
-    into S drawn from ``default_rng(seed)`` and scaled down to norm
-    ``mix_strength`` when larger, so the sample stays well conditioned.
-    """
-    n, k = s.ambient_dim, s.dim
-    if k >= n:
+    """Seeded sampler for the family {E : E^2 = E, N(E) = S}: the one
+    sample of ``projection_stacks(s, 1, seed)``."""
+    if s.dim >= s.ambient_dim:
         raise DimensionMismatch("S must be a proper subspace")
-    if k == 0:
-        return np.repeat(np.eye(n, dtype=complex)[None], len(seeds), axis=0)
-    ells = np.stack([crand(np.random.default_rng(seed), k, n - k)
-                     for seed in seeds])
-    norms = np.linalg.norm(ells, 2, axis=(1, 2))
-    big = norms > mix_strength
-    ells[big] *= (mix_strength / norms[big])[:, None, None]
-    v = s.coordinate_complement().frame
-    c = v + s.frame @ ells              # complement frames (not orthonormal)
-    return c @ np.linalg.inv(v.conj().T @ c) @ v.conj().T
+    return next(projection_stacks(s, 1, seed, mix_strength))[0]
 
 
-def projection_stacks(s, n_samples, seed):
+def projection_stacks(s, n_samples, seed, mix_strength=1.5):
     """``n_samples`` seeded samples of {E : E^2 = E, N(E) = S} (E = 0
     alone when S is the whole space), yielded in blocks whose
-    (n, dim, dim) complex stacks take at most 4 MiB each, which bounds the
-    memory of a sampled check at any dimension."""
-    dim = s.ambient_dim
-    if s.dim >= dim:
+    (m, dim, dim) complex stacks take at most 4 MiB each, which bounds the
+    memory of a sampled check at any dimension.
+
+    Each range is a random complement of S: the graph of a map from S^perp
+    into S, scaled down to norm ``mix_strength`` when larger, so the
+    sample stays well conditioned.  One ``default_rng(seed)`` draws each
+    block's m maps in one call, ``crand(rng, m, k, dim - k)``.
+    """
+    dim, k = s.ambient_dim, s.dim
+    if k >= dim:
         yield np.zeros((1, dim, dim), dtype=complex)
         return
-    seeds = np.random.default_rng(seed).integers(0, 2**63,
-                                                 size=n_samples).tolist()
+    rng = np.random.default_rng(seed)
+    v = s.coordinate_complement().frame
     step = max(1, (4 << 20) // (16 * dim * dim))
     for i in range(0, n_samples, step):
-        yield projections_with_kernel(s, seeds[i:i + step])
+        ells = crand(rng, min(step, n_samples - i), k, dim - k)
+        norms = np.linalg.norm(ells, 2, axis=(1, 2))
+        big = norms > mix_strength
+        ells[big] *= (mix_strength / norms[big])[:, None, None]
+        c = v + s.frame @ ells          # complement frames (not orthonormal)
+        yield c @ np.linalg.inv(v.conj().T @ c) @ v.conj().T
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import SignatureOperator, krein_sandwich
 from .errors import DimensionMismatch, RangeNotNonnegative
-from .evidence import projection_stacks
+from .evidence import check_sampling, projection_stacks
 from .linalg import null_frame, pinv, trace_product
 from .lsq import split_b
 from .subspaces import is_w_nonnegative, symmetric_projection
@@ -44,10 +44,13 @@ class InfimumOracleResult:
 
 
 def oracle_projection_infimum(w, s, space, n, seed, include_canonical=False):
-    """Sample projections E with N(E) = S and keep the candidate with the
-    smallest tr(J E^# W E); it bounds the Schur complement from above in
-    the indefinite order.  With ``include_canonical`` the first sample is
-    E0 = I - Q, which attains the infimum exactly."""
+    """Sample n projections E with N(E) = S, drawn block by block from one
+    ``default_rng(seed)`` (``evidence.projection_stacks``), and keep the
+    candidate with the smallest tr(J E^# W E); it bounds the Schur
+    complement from above in the indefinite order.  With
+    ``include_canonical`` the first sample is E0 = I - Q, which attains
+    the infimum exactly, and n may be 0."""
+    check_sampling(n, name="n", low=0 if include_canonical else 1)
     if not is_w_nonnegative(w, s, space):
         raise RangeNotNonnegative("S is not W-nonnegative")
     stacks = projection_stacks(s, n, seed)
@@ -106,14 +109,19 @@ def _sweep_grid(p, signature, grid, span, sense):
     return SweepResult(value=value, mode="grid", history=[value])
 
 
-def _column_sweeps(bmat, m1, m2, target, x0, max_sweeps, conv_tol):
+def _normal_core(bmat, m2):
+    """(B^* M2 B, its pseudo-inverse): fixed for a sweep run's B and M2."""
+    ncore = bmat.conj().T @ m2 @ bmat
+    return ncore, pinv(ncore)
+
+
+def _column_sweeps(bmat, core, m1, m2, target, x0, max_sweeps, conv_tol):
     """Cyclic exact column updates for the stationary system
     B^* M2 (BX - target) M1 = 0 (Gauss-Seidel with an M1 coupling; the
     same update drives both the convex and the concave direction to the
-    stationary value)."""
-    ncore = bmat.conj().T @ m2 @ bmat
+    stationary value), given ``core = _normal_core(bmat, m2)``."""
+    ncore, ninv = core
     r0 = bmat.conj().T @ m2 @ target
-    ninv = pinv(ncore)
     d = bmat.shape[1]
     x = x0.copy()
 
@@ -143,8 +151,8 @@ def _column_sweeps(bmat, m1, m2, target, x0, max_sweeps, conv_tol):
 def _sweep_als_extremum(p, signature, max_sweeps, conv_tol):
     m1, m2 = _objective_pieces(p, signature)
     x0 = np.zeros((p.space.dim, p.space.dim), dtype=complex)
-    _, history, converged = _column_sweeps(p.b, m1, m2, p.c, x0,
-                                           max_sweeps, conv_tol)
+    _, history, converged = _column_sweeps(p.b, _normal_core(p.b, m2), m1,
+                                           m2, p.c, x0, max_sweeps, conv_tol)
     return SweepResult(value=history[-1], mode="als", history=history,
                        converged=converged)
 
@@ -157,6 +165,8 @@ def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
     d = p.space.dim
     x = np.zeros((d, d), dtype=complex)
     y = np.zeros((d, d), dtype=complex)
+    core_x = _normal_core(split.b_plus, m2)
+    core_y = _normal_core(split.b_minus, m2)
 
     def value(xc, yc):
         r = split.b_plus @ xc + split.b_minus @ yc - p.c
@@ -168,12 +178,12 @@ def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
         for which in (order[0], order[1]):
             if which == "x":
                 target = p.c - split.b_minus @ y
-                x, _, _ = _column_sweeps(split.b_plus, m1, m2, target, x,
-                                         max_sweeps, conv_tol)
+                x, _, _ = _column_sweeps(split.b_plus, core_x, m1, m2,
+                                         target, x, max_sweeps, conv_tol)
             else:
                 target = p.c - split.b_plus @ x
-                y, _, _ = _column_sweeps(split.b_minus, m1, m2, target, y,
-                                         max_sweeps, conv_tol)
+                y, _, _ = _column_sweeps(split.b_minus, core_y, m1, m2,
+                                         target, y, max_sweeps, conv_tol)
         history.append(value(x, y))
         if abs(history[-1] - history[-2]) <= conv_tol * max(
                 1.0, abs(history[-1])):

@@ -485,6 +485,7 @@ def run_suite(name, spec=None, count=20, dim=4, seed=0, cond_bound=10.0,
         raise UnknownSuite(
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}")
     fn, default_samples = _SUITES[name]
+    check_sampling(count, name="count")
     if samples is not None:
         check_sampling(samples, name="samples")
     if spec is not None:

@@ -9,7 +9,8 @@ import pytest
 import kreinls
 from kreinls import (SUITE_NAMES, GeneratorSpec, MalformedInput,
                      SignatureOperator, evidence, generate_instance,
-                     run_suite, solve_imms, solve_trace_minmax, split_b)
+                     oracle_projection_infimum, run_suite, solve_imms,
+                     solve_trace_minmax, split_b)
 
 SOLVERS = ("core", "linalg", "subspaces", "schur", "lsq", "jtrace")
 HARNESS = {"evidence", "suites", "oracles", "generate"}
@@ -75,8 +76,17 @@ CHECKS = {
                                           0),
     **{f"run_suite:{name}": lambda c, n, sense, name=name:
        run_suite(name, count=1, samples=n) for name in SUITE_NAMES},
+    "oracle_projection_infimum": lambda c, n, sense:
+        oracle_projection_infimum(c["p"].w, c["s"], c["p"].space, n, 0),
+    "oracle_projection_infimum:canonical": lambda c, n, sense:
+        oracle_projection_infimum(c["p"].w, c["s"], c["p"].space, n, 0,
+                                  include_canonical=True),
+    "run_suite:count": lambda c, n, sense: run_suite("js2", count=n),
 }
 WITH_SENSE = ("minimality_certificate", "scalar_floor_certificate")
+COUNT_NAME = {"oracle_projection_infimum": "n",
+              "oracle_projection_infimum:canonical": "n",
+              "run_suite:count": "count"}
 BAD = [(n, "min", "samples") for n in (0, -1, 2.5)] \
     + [(8, "maximum", "sense")]
 
@@ -84,14 +94,16 @@ BAD = [(n, "min", "samples") for n in (0, -1, 2.5)] \
 @pytest.mark.parametrize("check,n,sense,argument", [
     (check, n, sense, argument) for check in CHECKS
     for n, sense, argument in BAD
-    if argument == "samples" or check in WITH_SENSE])
+    if (argument == "samples" or check in WITH_SENSE)
+    and (n, check) != (0, "oracle_projection_infimum:canonical")])
 def test_bad_sample_count_or_sense_is_malformed_input(case, check, n, sense,
                                                       argument):
     """A count below 1 (or not an integer), or a sense other than "min" or
     "max", raises MalformedInput naming the argument, where it used to end
-    in a NumPy error, a TypeError, or a silent minimum check."""
+    in a NumPy error, a TypeError, or a silent minimum check.  With the
+    canonical sample, the projection oracle accepts n = 0."""
     if argument == "samples":
-        argument = "samples" if check.startswith("run_suite") \
-            else "n_samples"
+        argument = COUNT_NAME.get(check, "samples" if check.startswith(
+            "run_suite") else "n_samples")
     with pytest.raises(MalformedInput, match=f"^{argument} must be"):
         CHECKS[check](case, n, sense)

@@ -271,8 +271,7 @@ def test_solvers_do_not_sample(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("a solver drew samples")
 
-    for name in ("sample_directions", "saddle_sides",
-                 "projections_with_kernel", "projection_stacks"):
+    for name in ("sample_directions", "saddle_sides", "projection_stacks"):
         monkeypatch.setattr(evidence, name, sampled)
 
     def problem(regime):

@@ -1,8 +1,9 @@
 """Stacked projection sampling and the batched infimum evidence.
 
-The per-sample loops below are the one-at-a-time implementations the
-stacked code replaced; they are kept as the reference the stacks must
-match bit for bit.
+The references below draw each check's maps as the sampler does, from one
+generator in one draw per 4 MiB block, and then build, sandwich and
+evaluate each projection one at a time, as the code the stacks replaced
+did; the stacks must match them bit for bit.
 """
 
 import tracemalloc
@@ -15,18 +16,19 @@ from kreinls import (REGIMES, DimensionMismatch, GeneratorSpec, KreinError,
                      oracle_projection_infimum, projection_infimum_check,
                      projection_with_kernel, symmetric_projection, w_split)
 from kreinls.core import krein_sandwich
-from kreinls.evidence import projections_with_kernel, scale_of
+from kreinls.evidence import projection_stacks, scale_of
 from kreinls.linalg import (crand, min_eig_herm, opnorm, same_bits,
                             trace_product)
 from kreinls.schur import Factorization
 
 
-def loop_projection(s, seed, mix_strength=1.5):
+def loop_projection(s, ell, mix_strength=1.5):
+    """The projection with kernel S whose range is the graph of ``ell``."""
     n, k = s.ambient_dim, s.dim
     v = s.coordinate_complement().frame
     if k == 0:
         return np.eye(n, dtype=complex)
-    ell = crand(np.random.default_rng(seed), k, n - k)
+    ell = ell.copy()
     nl = opnorm(ell)
     if nl > mix_strength:
         ell *= mix_strength / nl
@@ -34,9 +36,15 @@ def loop_projection(s, seed, mix_strength=1.5):
     return c @ np.linalg.inv(v.conj().T @ c) @ v.conj().T
 
 
-def loop_seeds(seed, n):
-    return [int(sd) for sd in
-            np.random.default_rng(seed).integers(0, 2**63, size=n)]
+def loop_maps(s, n, seed):
+    """The maps from S^perp into S of a check's n samples: one generator
+    per check, one draw of crand(rng, m, k, dim - k) per block of the m
+    samples whose dim x dim complex stack fits in 4 MiB."""
+    dim, k = s.ambient_dim, s.dim
+    rng = np.random.default_rng(seed)
+    step = max(1, (4 << 20) // (16 * dim * dim))
+    return [ell for i in range(0, n, step)
+            for ell in crand(rng, min(step, n - i), k, dim - k)]
 
 
 def loop_infimum_check(w, s, space, n_samples, seed):
@@ -46,8 +54,8 @@ def loop_infimum_check(w, s, space, n_samples, seed):
     if s.dim >= space.dim:
         samples = [np.zeros((space.dim, space.dim), dtype=complex)]
     else:
-        samples = [loop_projection(s, sd)
-                   for sd in loop_seeds(seed, n_samples)]
+        samples = [loop_projection(s, ell)
+                   for ell in loop_maps(s, n_samples, seed)]
     floors = []
     for e in samples:
         gap = krein_sandwich(e, fac.w, space) - schur
@@ -65,7 +73,8 @@ def loop_oracle(w, s, space, n, seed, include_canonical=False):
     if s.dim >= space.dim:
         samples.append(np.zeros((space.dim, space.dim), dtype=complex))
     else:
-        samples.extend(loop_projection(s, sd) for sd in loop_seeds(seed, n))
+        samples.extend(loop_projection(s, ell)
+                       for ell in loop_maps(s, n, seed))
     cands = [krein_sandwich(e, w, space) for e in samples]
     traces = [float(trace_product(space.j_ref, c).real) for c in cands]
     return traces, cands
@@ -89,12 +98,13 @@ def subspace_cases(dim, seeds=(3, 4)):
 def test_stack_matches_single_samples_bitwise(n, k):
     rng = np.random.default_rng(100 + 10 * n + k)
     s = Subspace.from_span(crand(rng, n, k)) if k else Subspace.zero(n)
-    seeds = loop_seeds(n + k, 12)
-    stack = projections_with_kernel(s, seeds)
+    stack, = projection_stacks(s, 12, n + k)
     assert stack.shape == (12, n, n)
-    for i, sd in enumerate(seeds):
-        assert same_bits(stack[i], projection_with_kernel(s, sd))
-        assert same_bits(stack[i], loop_projection(s, sd))
+    for e, ell in zip(stack, loop_maps(s, 12, n + k), strict=True):
+        assert same_bits(e, loop_projection(s, ell))
+    # a single sample is a one-sample block
+    assert same_bits(projection_with_kernel(s, n + k),
+                     loop_projection(s, loop_maps(s, 1, n + k)[0]))
     for e in stack:
         assert opnorm(e @ e - e) < 1e-10
         # N(E) = S: E kills S and has rank n - k
@@ -105,14 +115,16 @@ def test_stack_matches_single_samples_bitwise(n, k):
 
 def test_stack_keeps_mix_strength_and_rejects_full_subspace():
     s = Subspace(np.eye(3)[:, :1])
-    seeds = list(range(8))
-    flat = projections_with_kernel(s, seeds, mix_strength=0.0)
+    flat, = projection_stacks(s, 8, 0, mix_strength=0.0)
     assert np.allclose(flat, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
-    for i, sd in enumerate(seeds):
-        assert same_bits(projections_with_kernel(s, seeds, 0.7)[i],
-                         loop_projection(s, sd, 0.7))
+    stack, = projection_stacks(s, 8, 0, mix_strength=0.7)
+    for e, ell in zip(stack, loop_maps(s, 8, 0), strict=True):
+        assert same_bits(e, loop_projection(s, ell, 0.7))
     with pytest.raises(DimensionMismatch):
-        projections_with_kernel(Subspace.full(3), seeds)
+        projection_with_kernel(Subspace.full(3), 0)
+    # E = 0 alone is sampled when S is the whole space
+    zero, = projection_stacks(Subspace.full(3), 8, 0)
+    assert same_bits(zero, np.zeros((1, 3, 3), dtype=complex))
 
 
 def _outcome(fn):
@@ -176,6 +188,10 @@ def test_trace_history_is_running_minimum_with_first_minimizer():
     traces, cands = loop_oracle(w, s, space, 200, 2, include_canonical=True)
     first = traces.index(min(traces))
     assert same_bits(res.envelope, cands[first])
+    # with the canonical sample, n = 0 samples E0 alone
+    res = oracle_projection_infimum(w, s, space, n=0, seed=2,
+                                    include_canonical=True)
+    assert res.n_samples == 1 and same_bits(res.envelope, cands[0])
     # E = I is the only projection with kernel {0}: every trace ties,
     # and the envelope is the first candidate's
     res = oracle_projection_infimum(w, Subspace.zero(5), space, n=20, seed=2)

@@ -4,11 +4,14 @@
 
 Run it on two checkouts, on the same machine and NumPy/BLAS build (the
 last bits of LAPACK results differ between builds), and compare the
-printed JSON.  Six digests, each a SHA-256 prefix over a fixed corpus:
+printed JSON.  Seven digests, each a SHA-256 prefix over a fixed corpus:
 
 - ``suites``: the 7 suite reports at dim 4, count 20, seeds 11 and 12,
   as ``json.dumps(report.to_dict(), sort_keys=True)`` with
   ``elapsed_seconds`` removed;
+- ``tallies``: the same reports reduced to ``passed`` and, per check,
+  its (passed, failed) counts.  A change that alters sampled values, and
+  so ``suites``, can show with it that no tally and no verdict moved;
 - ``certificates``: the generator certificates, W, B and the subspace
   frame for the 6 regimes at dims 6, 8 and 32, seeds 0 and 1;
 - ``solvers``: the bytes of every array and number in the results of 17
@@ -23,7 +26,7 @@ printed JSON.  Six digests, each a SHA-256 prefix over a fixed corpus:
   certificate at a normal-equation solution, ``verify_saddle`` under the
   reference and an alternate split, the trace saddle floors,
   ``projection_infimum_check``, ``oracle_projection_infimum``,
-  ``projections_with_kernel`` and ``verify_trace_laws``;
+  ``projection_stacks`` and ``verify_trace_laws``;
 - ``decisions``: only the outcome of each ``solvers`` and ``cli`` item:
   ``ok``, the error type or a boolean result for a call, the exit code
   and the error type it printed (or ``ok``) for a command.  A change that
@@ -43,8 +46,8 @@ from pathlib import Path
 import numpy as np
 
 import kreinls as K
-from kreinls.evidence import (projections_with_kernel,
-                              scalar_floor_certificate, trace_saddle_floors)
+from kreinls.evidence import (projection_stacks, scalar_floor_certificate,
+                              trace_saddle_floors)
 from kreinls.problem_io import dump_json, encode_matrix, problem_to_dict
 
 SRC = Path(K.__file__).resolve().parent.parent
@@ -129,14 +132,18 @@ CALLS = {
 
 
 def suites():
-    out = {}
+    """The suite reports and their tallies."""
+    out, tallies = {}, {}
     for seed in (11, 12):
         for name in K.SUITE_NAMES:
             body = K.run_suite(name, count=20, dim=4, seed=seed).to_dict()
             body.pop("elapsed_seconds")
-            out[f"{name}.{seed}"] = sha(json.dumps(body, sort_keys=True)
-                                        .encode())
-    return out
+            key = f"{name}.{seed}"
+            out[key] = sha(json.dumps(body, sort_keys=True).encode())
+            tallies[key] = [body["passed"], {
+                check: [row["passed"], row["failed"]]
+                for check, row in body["checks"].items()}]
+    return out, tallies
 
 
 def corpus():
@@ -222,7 +229,8 @@ def evidence_at(out, key, p, s):
             p.w, s, space, 64, 8),
         "oracle_canonical": lambda: K.oracle_projection_infimum(
             p.w, s, space, 4, 9, include_canonical=True),
-        "projections": lambda: projections_with_kernel(s, [10, 11, 12]),
+        "projections": lambda: np.concatenate(
+            list(projection_stacks(s, 3, 10))),
         "trace_laws": lambda: K.verify_trace_laws(
             p.b, p.w, 0.5 + 1j, -2.0, alt, space, seed=13),
     }
@@ -272,7 +280,8 @@ def cli():
 
 
 def main():
-    parts = {"suites": suites()}
+    parts = {}
+    parts["suites"], parts["tallies"] = suites()
     parts["certificates"], parts["solvers"], solver_decisions = \
         certificates_and_solvers()
     parts["evidence"] = evidence()
