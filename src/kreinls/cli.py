@@ -12,7 +12,7 @@ import sys
 from .core import random_signature_operator
 from .errors import (KreinError, MalformedInput, NormalEquationUnsolvable,
                      MinMaxUnsolvable)
-from .generate import GeneratorSpec, generate_instance
+from .generate import REGIMES, GeneratorSpec, generate_instance
 from .jtrace import change_of_signature, trace_j
 from .oracles import oracle_parameter_sweep
 from .problem_io import (_dumps, dump_json, encode_matrix,
@@ -218,10 +218,7 @@ def build_parser():
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("generate", help="generate a problem instance")
-    sp.add_argument("--regime", required=True,
-                    choices=("complementable", "non_complementable",
-                             "range_nonnegative", "range_nonpositive",
-                             "range_indefinite", "neutral_directions"))
+    sp.add_argument("--regime", required=True, choices=REGIMES)
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cond-bound", type=float, default=10.0)

@@ -145,6 +145,14 @@ class SignatureOperator:
     gram_isqrt = property(lambda self: self._roots[1], doc="G^{-1/2}")
 
 
+def as_signature(j, space):
+    """Coerce a matrix (or pass through a SignatureOperator), validating
+    the signature invariants."""
+    if isinstance(j, SignatureOperator):
+        return j
+    return SignatureOperator.from_matrix(j, space)
+
+
 def krein_adjoint(a, space):
     """[.,.]-adjoint: A^# = J_ref A* J_ref.
 

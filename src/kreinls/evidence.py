@@ -14,11 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import krein_adjoint, krein_sandwich
+from .core import as_signature, krein_adjoint, krein_sandwich
 from .errors import (DimensionMismatch, MalformedInput,
                      NotWeaklyComplementable, RangeNotNonnegative)
-from .jtrace import (as_signature, trace_norm_assoc, trace_objective,
-                     trace_objective_xy)
+from .jtrace import trace_norm_assoc, trace_objective, trace_objective_xy
 from .linalg import crand, g_orthonormalize, herm, opnorm, trace_product
 from .lsq import CertificateReport, eval_f, eval_fj
 from .schur import Factorization
@@ -30,9 +29,10 @@ def scale_of(*operands):
 
 
 def check_sampling(n_samples, sense="min", name="n_samples", low=1):
-    """Raise MalformedInput unless the count (argument ``name``) is an
-    integer of at least ``low`` and ``sense`` is "min" or "max"."""
-    if not isinstance(n_samples, numbers.Integral) or n_samples < low:
+    """Raise MalformedInput unless the count (argument ``name``) is a
+    non-bool integer of at least ``low`` and ``sense`` is "min" or "max"."""
+    if isinstance(n_samples, bool) \
+            or not isinstance(n_samples, numbers.Integral) or n_samples < low:
         raise MalformedInput(f"{name} must be an integer of at least {low}, "
                              f"got {n_samples!r}")
     if sense not in ("min", "max"):

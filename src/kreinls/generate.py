@@ -7,6 +7,7 @@ directly and certified after assembly.  The generator is deterministic
 per (dim, seed, regime, cond_bound); the RNG is NumPy's PCG64.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise UnsatisfiableSpec(f"unknown regime {self.regime!r}")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.dim, self.seed)):
+            raise UnsatisfiableSpec(f"dim and seed must be integers, got "
+                                    f"{self.dim!r} and {self.seed!r}")
         if self.dim < 2:
             raise UnsatisfiableSpec(
                 "structured regimes need dim >= 2 (signature must carry "
                 "both signs)")
-        if not self.cond_bound >= 1.0:     # NaN included
+        if not isinstance(self.cond_bound, numbers.Real) \
+                or not self.cond_bound >= 1.0:     # NaN included
             raise UnsatisfiableSpec("conditioning bound must be >= 1")
         if self.seed < 0:
             raise UnsatisfiableSpec("seed must be non-negative")

@@ -11,20 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignatureOperator, krein_adjoint
+from .core import SignatureOperator, as_signature, krein_adjoint
 from .errors import NotComplementable
 from .linalg import (as_complex, crand, min_eig_herm, opnorm, same_bits,
                      trace_product)
 from .lsq import (CertificateReport, SplitB, _factor, _order_floor,
                   _solve_imms, _split_b, eval_f, eval_fj, solve_ims)
-
-
-def as_signature(j, space):
-    """Coerce a matrix (or pass through a SignatureOperator), validating
-    the signature invariants."""
-    if isinstance(j, SignatureOperator):
-        return j
-    return SignatureOperator.from_matrix(as_complex(j), space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,20 +103,18 @@ def frechet_derivative(p, j, x, y):
     return float(2.0 * val.real)
 
 
-def frechet_fd(p, j, x, y, step=None, scheme="central"):
-    """Finite-difference derivative of f_J; the independent check for the
-    analytic formula.  Central differences are exact for this quadratic
-    up to rounding."""
+def frechet_fd(p, j, x, y):
+    """Central-difference derivative of f_J; the independent check for
+    the analytic formula.  Central differences are exact for this
+    quadratic up to rounding."""
     x = p.space.check_operator(x)
     y = p.space.check_operator(y)
     ny = opnorm(y)
     if ny == 0.0:
         return 0.0
-    h = step if step is not None else 1e-5 * max(1.0, opnorm(x)) / ny
-    f = lambda z: trace_objective(p, j, z)
-    if scheme == "central":
-        return (f(x + h * y) - f(x - h * y)) / (2.0 * h)
-    return (f(x + h * y) - f(x)) / h
+    h = 1e-5 * max(1.0, opnorm(x)) / ny
+    return (trace_objective(p, j, x + h * y)
+            - trace_objective(p, j, x - h * y)) / (2.0 * h)
 
 
 @dataclass(frozen=True, eq=False)

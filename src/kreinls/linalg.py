@@ -157,30 +157,21 @@ def pinv(a, rank_tol=None, context=0.0):
     return (vh.conj().T * inv) @ u.conj().T
 
 
-def kept_eigenvalues(lam, rank_tol=None, context=0.0):
-    """Mask of the eigenvalues of a k x k Hermitian matrix that its rank
-    keeps: the largest |lam| (its singular values), by numerical_rank at
-    dim k and the context."""
+def kept_eigenvalues(lam, dim, rank_tol=None, context=0.0):
+    """Mask of the eigenvalues of a Hermitian matrix that its rank keeps:
+    the largest |lam| (its singular values), by numerical_rank at ``dim``
+    and the context."""
     absw, kept = np.abs(lam), np.zeros(len(lam), dtype=bool)
     order = np.argsort(absw)[::-1]
-    kept[order[:numerical_rank(absw[order], len(lam), rank_tol,
-                               context)]] = True
+    kept[order[:numerical_rank(absw[order], dim, rank_tol, context)]] = True
     return kept
 
 
-def sign_and_root(lam, q, kept):
-    """Polar data (u, |a|^{1/2}, pinv(|a|^{1/2})) of a = q diag(lam) q*
-    of rank ``kept``: u is sign(a) on R(a) and zero on N(a) = N(u)."""
-    root = np.sqrt(np.abs(lam))
-    rootinv = np.divide(1.0, root, out=np.zeros(len(lam)), where=kept)
-    return tuple((q * d) @ q.conj().T for d in
-                 (np.where(kept, np.sign(lam), 0.0), root * kept, rootinv))
-
-
-def herm_sign_and_root(a, rank_tol=None, context=0.0):
-    """sign_and_root of a Hermitian matrix, from one eigh."""
-    lam, q = np.linalg.eigh(herm(as_complex(a)))
-    return sign_and_root(lam, q, kept_eigenvalues(lam, rank_tol, context))
+def herm_pinv_apply(lam, vec, kept, b):
+    """a^† b for a Hermitian a = vec diag(lam) vec*, from its eigh and the
+    mask of the eigenvalues its rank keeps."""
+    inv = np.divide(1.0, lam, out=np.zeros(lam.size), where=kept)
+    return (vec * inv) @ (vec.conj().T @ b)
 
 
 def hpd_sqrt(g):

@@ -12,13 +12,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (SignatureOperator, _frozen, krein_adjoint, krein_sandwich,
-                   require_krein_selfadjoint)
+from .core import (SignatureOperator, _frozen, as_signature, krein_adjoint,
+                   krein_sandwich, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, MalformedInput,
                      MinMaxUnsolvable, NormalEquationUnsolvable,
                      OperandOverflow, RangeNotNonnegative,
                      RangeNotNonpositive)
-from .linalg import (crand, excess, fro_norm, herm, numerical_rank, opnorm,
+from .linalg import (crand, excess, fro_norm, herm, kept_eigenvalues, opnorm,
                      within)
 from .schur import Factorization
 from .subspaces import WSplit, range_subspace, svd_span
@@ -115,9 +115,8 @@ def _normal_solve(p, factored, target, target_norm=None):
     tn = opnorm(target) if target_norm is None else target_norm
     rhs = sigma[:, None] * (fac.rows @ target)
     lam, q = np.linalg.eigh(herm(sigma[:, None] * fac.form * sigma))
-    order = np.argsort(np.abs(lam))[::-1]
-    kept = order[:numerical_rank(np.abs(lam[order]), p.space.dim,
-                                 fac.rank_tol, p.b_norm ** 2 * p.w_norm)]
+    kept = kept_eigenvalues(lam, p.space.dim, fac.rank_tol,
+                            p.b_norm ** 2 * p.w_norm)
     coef = q[:, kept].conj().T @ rhs
     x = vh.conj().T @ (q[:, kept] @ (coef / lam[kept, None]))
     resid = sigma[:, None] * (fac.rows @ (p.b @ x - target))
@@ -309,11 +308,11 @@ class SplitB:
 def split_b(p, signature=None, rank_tol=None):
     """Split B along the W-definite decomposition of its range.
 
-    B_+/- = P_+/- B where P_+/- project onto the split parts,
-    orthogonally in the signature's inner product.
+    B_+/- = P_+/- B where P_+/- project onto the split parts, orthogonally
+    in the inner product of the signature, a matrix or J_ref by default.
     """
-    if signature is None:
-        signature = SignatureOperator.reference(p.space)
+    signature = SignatureOperator.reference(p.space) if signature is None \
+        else as_signature(signature, p.space)
     return _split_b(p, _factor(p, rank_tol), signature)[0]
 
 
@@ -387,10 +386,9 @@ def _solve_imms(p, factored):
 
 def neutral_shift(p, seed, rank_tol=None):
     """A Z2 with (B Z2)^# W (B Z2) = 0: maps into the W-neutral directions
-    of R(B).  Zero when the compressed form has no kernel."""
+    of R(B).  Zero when the compressed form's rank drops no eigenvalue."""
     fac, sigma, vh = _factor(p, rank_tol)
-    lam, vec = fac.spectrum
-    kernel = vec[:, np.abs(lam) <= p.space.tol * p.w_norm]
+    kernel = fac.spectrum[1][:, ~fac.kept]
     if kernel.shape[1] == 0:
         return np.zeros((p.space.dim, p.space.dim), dtype=complex)
     rng = np.random.default_rng(seed)

@@ -12,12 +12,15 @@ from itertools import chain
 
 import numpy as np
 
-from .core import SignatureOperator, krein_sandwich
-from .errors import DimensionMismatch, RangeNotNonnegative
+from .core import SignatureOperator, as_signature, krein_sandwich
+from .errors import DimensionMismatch, MalformedInput, RangeNotNonnegative
 from .evidence import check_sampling, projection_stacks
 from .linalg import null_frame, pinv, trace_product
 from .lsq import split_b
 from .subspaces import is_w_nonnegative, symmetric_projection
+
+# ALS: sweeps per pass, min-max alternations, relative change that stops
+MAX_SWEEPS, ALS_OUTER, CONV_TOL = 400, 8, 1e-12
 
 
 def oracle_sum_dimension(p, s, rank_tol=None):
@@ -115,7 +118,7 @@ def _normal_core(bmat, m2):
     return ncore, pinv(ncore)
 
 
-def _column_sweeps(bmat, core, m1, m2, target, x0, max_sweeps, conv_tol):
+def _column_sweeps(bmat, core, m1, m2, target, x0):
     """Cyclic exact column updates for the stationary system
     B^* M2 (BX - target) M1 = 0 (Gauss-Seidel with an M1 coupling; the
     same update drives both the convex and the concave direction to the
@@ -131,13 +134,13 @@ def _column_sweeps(bmat, core, m1, m2, target, x0, max_sweeps, conv_tol):
     history = [objective(x)]
     stable = 0
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for col in range(d):
             coupling = x @ m1[:, col] - x[:, col] * m1[col, col]
             rhs = r0 @ m1[:, col] - ncore @ coupling
             x[:, col] = (ninv @ rhs) / m1[col, col].real
         history.append(objective(x))
-        if abs(history[-1] - history[-2]) <= conv_tol * max(
+        if abs(history[-1] - history[-2]) <= CONV_TOL * max(
                 1.0, abs(history[-1])):
             stable += 1
             if stable >= 3:
@@ -148,17 +151,16 @@ def _column_sweeps(bmat, core, m1, m2, target, x0, max_sweeps, conv_tol):
     return x, history, converged
 
 
-def _sweep_als_extremum(p, signature, max_sweeps, conv_tol):
+def _sweep_als_extremum(p, signature):
     m1, m2 = _objective_pieces(p, signature)
     x0 = np.zeros((p.space.dim, p.space.dim), dtype=complex)
     _, history, converged = _column_sweeps(p.b, _normal_core(p.b, m2), m1,
-                                           m2, p.c, x0, max_sweeps, conv_tol)
+                                           m2, p.c, x0)
     return SweepResult(value=history[-1], mode="als", history=history,
                        converged=converged)
 
 
-def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
-                      order="xy", outer=8):
+def _sweep_als_minmax(p, signature, split, order="xy"):
     """Alternate exact least-squares passes: X minimizes, Y maximizes
     f_J(X, Y) on the given range split."""
     m1, m2 = _objective_pieces(p, signature)
@@ -174,18 +176,18 @@ def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
 
     history = [value(x, y)]
     converged = False
-    for _ in range(outer):
+    for _ in range(ALS_OUTER):
         for which in (order[0], order[1]):
             if which == "x":
                 target = p.c - split.b_minus @ y
                 x, _, _ = _column_sweeps(split.b_plus, core_x, m1, m2,
-                                         target, x, max_sweeps, conv_tol)
+                                         target, x)
             else:
                 target = p.c - split.b_plus @ x
                 y, _, _ = _column_sweeps(split.b_minus, core_y, m1, m2,
-                                         target, y, max_sweeps, conv_tol)
+                                         target, y)
         history.append(value(x, y))
-        if abs(history[-1] - history[-2]) <= conv_tol * max(
+        if abs(history[-1] - history[-2]) <= CONV_TOL * max(
                 1.0, abs(history[-1])):
             converged = True
             break
@@ -194,38 +196,42 @@ def _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol,
 
 
 def oracle_parameter_sweep(p, signature=None, grid=25, span=3.0,
-                           sense="min", mode="auto", split=None,
-                           max_sweeps=400, conv_tol=1e-12):
+                           sense="min", mode="auto", split=None):
     """Brute-force value of the trace objective.
 
     Grid mode enumerates real matrices on a regular lattice (dim <= 2);
     ALS mode runs cyclic exact column sweeps.  For ``sense='minmax'`` the
     X and Y passes alternate on the split objective.  The returned value
     brackets the solver value to within grid resolution / sweep
-    convergence.
+    convergence.  The signature may be a matrix; an unknown ``sense`` or
+    ``mode`` raises MalformedInput.
     """
-    if signature is None:
-        signature = SignatureOperator.reference(p.space)
+    for name, value, known in (("sense", sense, ("min", "max", "minmax")),
+                               ("mode", mode, ("auto", "grid", "als"))):
+        if value not in known:
+            raise MalformedInput(f"{name} must be one of {known}, "
+                                 f"got {value!r}")
+    signature = SignatureOperator.reference(p.space) if signature is None \
+        else as_signature(signature, p.space)
     if mode == "auto":
         mode = "grid" if (p.space.dim <= 2 and sense in ("min", "max")) \
             else "als"
     if sense == "minmax":
         if split is None:
             split = split_b(p, signature)
-        return _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol)
+        return _sweep_als_minmax(p, signature, split)
     if mode == "grid":
         return _sweep_grid(p, signature, grid, span, sense)
-    return _sweep_als_extremum(p, signature, max_sweeps, conv_tol)
+    return _sweep_als_extremum(p, signature)
 
 
-def minmax_order_gap(p, signature=None, split=None, max_sweeps=400,
-                     conv_tol=1e-12):
+def minmax_order_gap(p, signature=None, split=None):
     """Values of the max-min and min-max sweep orderings; the two must
     agree (and match the closed form) on complementable instances."""
-    if signature is None:
-        signature = SignatureOperator.reference(p.space)
+    signature = SignatureOperator.reference(p.space) if signature is None \
+        else as_signature(signature, p.space)
     if split is None:
         split = split_b(p, signature)
-    xy = _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol, "xy")
-    yx = _sweep_als_minmax(p, signature, split, max_sweeps, conv_tol, "yx")
+    xy = _sweep_als_minmax(p, signature, split, "xy")
+    yx = _sweep_als_minmax(p, signature, split, "yx")
     return xy.value, yx.value

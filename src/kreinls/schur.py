@@ -1,10 +1,12 @@
 """Indefinite Schur complement machinery.
 
 The factorization of a weight relative to a subspace (``Factorization``),
-the block decomposition, the complementability test, the
-Anderson-Trapp style Schur complement with its certificates, the
-three-term decomposition W = W1 + W2 - W3, and the report-producing
-identity checks.  The sampled infimum check is in ``evidence``.
+the block decomposition, the complementability test R(b) ⊆ R(a) (in
+finite dimension R(|a|^{1/2}) = R(a): weak complementability), the Schur
+complement c - b* a^† b on S^perp (Anderson & Trapp, "Shorted operators
+II") with its certificates, the three-term decomposition
+W = W1 + W2 - W3, and the report-producing identity checks.  The sampled
+infimum check is in ``evidence``.
 
 All alternate-signature computations run in the associated inner product
 (Gram G = J_ref * J'); the compressed blocks are Hermitian there, and the
@@ -21,10 +23,10 @@ from .core import (SignatureOperator, krein_sandwich,
                    random_signature_operator, require_krein_selfadjoint)
 from .errors import (InternalCertificateFailure, NotComplementable,
                      NotWeaklyComplementable)
-from .linalg import (Norm, excess, generalized_eigh, herm,
-                     herm_sign_and_root, g_orthonormalize, kept_eigenvalues,
-                     min_eig_herm, null_frame, opnorm, sign_and_root, within)
-from .subspaces import Subspace, WSplit
+from .linalg import (Norm, excess, generalized_eigh, herm, herm_pinv_apply,
+                     g_orthonormalize, kept_eigenvalues, min_eig_herm,
+                     null_frame, opnorm, within)
+from .subspaces import Subspace, WSplit, is_complementable
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,21 +59,17 @@ def block_decompose(w, s, signature, space, rank_tol=None):
     return Factorization(w, s, space, rank_tol).blocks_under(signature)
 
 
-def is_weakly_complementable(w, s, space, rank_tol=None):
-    """R(b) ⊆ R(|a|^{1/2}) for the reference blocks: in finite dimension
-    R(|a|^{1/2}) = R(a), so this is the predicate ``is_complementable``."""
-    return Factorization(w, s, space, rank_tol).complementable
+# R(b) ⊆ R(|a|^{1/2}) = R(a) in finite dimension: ``is_complementable``
+is_weakly_complementable = is_complementable
 
 
 @dataclass(frozen=True, eq=False)
 class SchurResult:
     """Schur complement W_{/[S]}, compression W_{[S]} = W - W_{/[S]},
-    and the block certificate (reduced solution f, polar isometry u)."""
+    and the blocks it was computed from."""
 
     schur: np.ndarray
     compression: np.ndarray
-    reduced_solution: np.ndarray
-    polar_isometry: np.ndarray
     blocks: BlockDecomposition
 
 
@@ -79,9 +77,9 @@ def schur_complement(w, s, space, signature=None, rank_tol=None):
     """Schur complement of the weight to S (shorted operator).
 
     Computed from the blocks relative to the given signature (reference
-    by default): polar decomposition a = u|a|, reduced solution
-    f = pinv(|a|^{1/2}) b, then the complement is carried by c - f* u f on
-    the complement of S.  The result does not depend on the signature;
+    by default): once R(b) ⊆ R(a) (else NotWeaklyComplementable), the
+    complement is carried by c - b* a^† b on the complement of S.  The
+    result does not depend on the signature;
     recomputation under alternates is how the independence suites check
     that.
     """
@@ -98,8 +96,9 @@ class Factorization:
     W-symmetric projection Q, the split S_+ [+] S_- and the closed forms
     C^# W_{/[S]} C and C^# W (I - Q) C.  S^perp is the one ``from_span``
     kept (or a QR of a given frame).  One eigh of the compressed form a
-    answers the rest: its signs, its rank, R(b) ⊆ R(a), a^† for Q, the
-    Schur polar root and, under a Gram equal to I, the split.
+    answers the rest: its signs, its rank, R(b) ⊆ R(a) (decided once),
+    the a^† b that Q, the closed forms and the Schur complement
+    c - b* a^† b read and, under a Gram equal to I, the split.
 
     A factorization lives for one public call: its caches hold dim x dim
     arrays, so it is never stored on a longer-lived value such as a
@@ -157,7 +156,7 @@ class Factorization:
         lambda self: self.rows @ self._coordinate_complement)
     spectrum = cached_property(lambda self: np.linalg.eigh(self._a))
     kept = cached_property(lambda self: kept_eigenvalues(
-        self.spectrum[0], self.rank_tol, self.norm))
+        self.spectrum[0], len(self.spectrum[0]), self.rank_tol, self.norm))
 
     @cached_property
     def nonnegative(self):
@@ -171,17 +170,24 @@ class Factorization:
         lam = self.spectrum[0]
         return not lam.size or -float(lam[-1]) >= -self.space.tol * self.norm
 
-    @cached_property
-    def complementable(self):
-        """H = S + W^{-1}(S^[perp])?  That is R(b) ⊆ R(a): the Douglas
-        residual of b against a's kept eigenvectors."""
-        b, tol = self._coupling, self.space.tol
-        bn = Norm(b)
+    def _douglas_excess(self, b, vec, kept):
+        """None when R(b) ⊆ R(a) for a Hermitian a whose rank keeps the
+        eigenvectors vec[:, kept]: the Douglas residual b - P_R(a) b is
+        within tol ||b||, or b within tol ||W||.  Else the residual."""
+        tol, bn = self.space.tol, Norm(b)
         if bn.high <= tol * self.norm:
-            return True     # coupling block vanishes at the weight's scale
-        ra = self.spectrum[1][:, self.kept]
-        return within(b - ra @ (ra.conj().T @ b), tol, bn) \
-            or within(bn, tol * self.norm)
+            return None     # coupling block vanishes at the weight's scale
+        ra = vec[:, kept]
+        resid = excess(b - ra @ (ra.conj().T @ b), tol, bn)
+        return None if resid is None or within(bn, tol * self.norm) \
+            else resid
+
+    _douglas = cached_property(lambda self: self._douglas_excess(
+        self._coupling, self.spectrum[1], self.kept))
+
+    complementable = property(lambda self: self._douglas is None, doc="""
+        H = S + W^{-1}(S^[perp])?  That is R(b) ⊆ R(a): the Douglas
+        residual of b against a's kept eigenvectors.""")
 
     def blocks_under(self, signature):
         """The blocks of the weight form relative to S in the signature's
@@ -205,24 +211,24 @@ class Factorization:
         """The blocks relative to the reference signature."""
         return self.blocks_under(self.reference)
 
-    def _reduce(self, blocks):
-        """(f, u, core) of the blocks: the polar isometry u of a, the
-        reduced solution f = pinv(|a|^{1/2}) b once R(b) ⊆ R(|a|^{1/2})
-        holds (else NotWeaklyComplementable), and core = herm(c - f* u f),
-        the Schur complement on the blocks' S^perp basis."""
-        space, wn = self.space, self.norm
-        # the reference blocks' a is the compressed form: read its spectrum
-        u, root, rootinv = \
-            sign_and_root(*self.spectrum, self.kept) if blocks.a is self._a \
-            else herm_sign_and_root(blocks.a, self.rank_tol, context=wn)
-        f = rootinv @ blocks.b
-        bn = Norm(blocks.b)     # taken exactly only if a check needs it
-        if not bn.high <= space.tol * wn:   # else b is negligible
-            douglas = excess(root @ f - blocks.b, space.tol, bn)
-            if douglas is not None and not within(bn, space.tol * wn):
-                raise NotWeaklyComplementable(
-                    f"R(b) not inside R(|a|^1/2): residual {douglas:.3e}")
-        return f, u, herm(blocks.c - f.conj().T @ u @ f)
+    def _core(self, blocks):
+        """herm(c - b* a^† b), the Schur complement on the blocks' S^perp
+        basis, once R(b) ⊆ R(a) holds (else NotWeaklyComplementable).  The
+        reference form's test and a^† b are the cached ones; blocks in
+        another inner product take their own eigh of a."""
+        own = not blocks.signature.unit_gram    # else a is the form
+        if own:
+            lam, vec = np.linalg.eigh(blocks.a)
+            kept = kept_eigenvalues(lam, len(lam), self.rank_tol, self.norm)
+            resid = self._douglas_excess(blocks.b, vec, kept)
+        else:
+            resid = self._douglas
+        if resid is not None:
+            raise NotWeaklyComplementable(
+                f"R(b) not inside R(|a|^1/2): residual {resid:.3e}")
+        a_pinv_b = herm_pinv_apply(lam, vec, kept, blocks.b) if own \
+            else self._a_pinv_b
+        return herm(blocks.c - blocks.b.conj().T @ a_pinv_b)
 
     @cached_property
     def schur(self):
@@ -235,7 +241,7 @@ class Factorization:
         space, wn = self.space, self.norm
         blocks = self.blocks if signature is self.reference \
             else self.blocks_under(signature)
-        f, u, core = self._reduce(blocks)
+        core = self._core(blocks)
         v = blocks.basis_sperp
         vg = v.conj().T if signature.unit_gram \
             else v.conj().T @ signature.gram
@@ -251,16 +257,15 @@ class Factorization:
                 "R(W_{/[S]}) is not inside S^[perp]")
         if not within(j_schur - j_schur.conj().T, tol):
             raise InternalCertificateFailure("W_{/[S]} is not selfadjoint")
-        return SchurResult(
-            schur=schur, compression=self.w - schur,
-            reduced_solution=f, polar_isometry=u, blocks=blocks)
+        return SchurResult(schur=schur, compression=self.w - schur,
+                           blocks=blocks)
 
     def schur_form(self, c):
         """C^# W_{/[S]} C = J_ref (v* G C)* core (v* G C) on the reference
         blocks' S^perp basis v (v* C when G = I by value), with no dim x
         dim complement: O(dim^2 (dim - k))."""
         ref, blocks = self.reference, self.blocks
-        core, vt = self._reduce(blocks)[2], blocks.basis_sperp.conj().T
+        core, vt = self._core(blocks), blocks.basis_sperp.conj().T
         vc = vt @ c if ref.unit_gram else vt @ (ref.gram @ c)
         return self.space.j_ref @ vc.conj().T @ (core @ vc)
 
@@ -274,9 +279,7 @@ class Factorization:
     @cached_property
     def _a_pinv_b(self):
         """a^† b, a^† read off a's one eigh."""
-        lam, vec = self.spectrum
-        inv = np.divide(1.0, lam, out=np.zeros(lam.size), where=self.kept)
-        return (vec * inv) @ (vec.conj().T @ self._coupling)
+        return herm_pinv_apply(*self.spectrum, self.kept, self._coupling)
 
     @cached_property
     def q(self):

@@ -65,12 +65,9 @@ class Subspace:
         resid = v - self.frame @ (self.frame.conj().T @ v)
         return within(resid, tol, v)
 
-    def coordinate_complement(self, rank_tol=None):
+    def coordinate_complement(self):
         """S^perp: the one ``from_span`` kept, the whole space for S = 0,
-        else the trailing columns of a complete QR of the frame (the kernel
-        of S* at a given rank_tol)."""
-        if rank_tol is not None:
-            return Subspace(null_frame(self.frame.conj().T, rank_tol))
+        else the trailing columns of a complete QR of the frame."""
         if self._complement is not None:
             return Subspace(self._complement)
         n, k = self.frame.shape
@@ -159,7 +156,9 @@ def w_split(s, w, signature, space):
 def is_complementable(w, s, space, rank_tol=None):
     """H = S + W^{-1}(S^[perp])?  That is R(b) ⊆ R(a) for the compressed
     form a = S* (J_ref W) S and the coupling b = S* (J_ref W) S^perp, on
-    a's rank at dim k and ||W||: the ``is_weakly_complementable`` test."""
+    a's rank at dim k and ||W||.  In finite dimension this is also weak
+    complementability: ``schur.is_weakly_complementable`` is this
+    function."""
     from .schur import Factorization
     return Factorization(w, s, space, rank_tol).complementable
 

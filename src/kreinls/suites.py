@@ -374,7 +374,7 @@ def _suite_trace_laws(report, spec, count, dim, seed, cond_bound, samples):
             x = crand(rng, space.dim, space.dim)
             y = crand(rng, space.dim, space.dim)
             analytic = frechet_derivative(p, sig, x, y)
-            numeric = frechet_fd(p, sig, x, y, scheme="central")
+            numeric = frechet_fd(p, sig, x, y)
             denom = max(1.0, abs(analytic), abs(numeric))
             report.record("frechet_vs_central_fd",
                           abs(analytic - numeric) / denom, FD_RTOL)
@@ -486,6 +486,7 @@ def run_suite(name, spec=None, count=20, dim=4, seed=0, cond_bound=10.0,
             f"unknown suite {name!r}; available: {', '.join(_SUITES)}")
     fn, default_samples = _SUITES[name]
     check_sampling(count, name="count")
+    check_sampling(seed, name="seed", low=0)
     if samples is not None:
         check_sampling(samples, name="samples")
     if spec is not None:

@@ -9,8 +9,8 @@ import pytest
 import kreinls
 from kreinls import (SUITE_NAMES, GeneratorSpec, MalformedInput,
                      SignatureOperator, evidence, generate_instance,
-                     oracle_projection_infimum, run_suite, solve_imms,
-                     solve_trace_minmax, split_b)
+                     oracle_parameter_sweep, oracle_projection_infimum,
+                     run_suite, solve_imms, solve_trace_minmax, split_b)
 
 SOLVERS = ("core", "linalg", "subspaces", "schur", "lsq", "jtrace")
 HARNESS = {"evidence", "suites", "oracles", "generate"}
@@ -82,28 +82,42 @@ CHECKS = {
         oracle_projection_infimum(c["p"].w, c["s"], c["p"].space, n, 0,
                                   include_canonical=True),
     "run_suite:count": lambda c, n, sense: run_suite("js2", count=n),
+    "run_suite:seed": lambda c, n, sense: run_suite("js2", count=1, seed=n),
+    "oracle_parameter_sweep": lambda c, n, sense:
+        oracle_parameter_sweep(c["p"], sense=sense),
+    "oracle_parameter_sweep:mode": lambda c, n, sense:
+        oracle_parameter_sweep(c["p"], mode=sense),
 }
-WITH_SENSE = ("minimality_certificate", "scalar_floor_certificate")
+SENSE_NAME = {"minimality_certificate": "sense",
+              "scalar_floor_certificate": "sense",
+              "oracle_parameter_sweep": "sense",
+              "oracle_parameter_sweep:mode": "mode"}
 COUNT_NAME = {"oracle_projection_infimum": "n",
               "oracle_projection_infimum:canonical": "n",
-              "run_suite:count": "count"}
-BAD = [(n, "min", "samples") for n in (0, -1, 2.5)] \
+              "run_suite:count": "count", "run_suite:seed": "seed"}
+NO_COUNT = ("oracle_parameter_sweep", "oracle_parameter_sweep:mode")
+ZERO_ACCEPTED = ("oracle_projection_infimum:canonical", "run_suite:seed")
+BAD = [(n, "min", "samples") for n in (0, -1, 2.5, True)] \
     + [(8, "maximum", "sense")]
 
 
 @pytest.mark.parametrize("check,n,sense,argument", [
     (check, n, sense, argument) for check in CHECKS
     for n, sense, argument in BAD
-    if (argument == "samples" or check in WITH_SENSE)
-    and (n, check) != (0, "oracle_projection_infimum:canonical")])
+    if (check in SENSE_NAME if argument == "sense" else check not in NO_COUNT)
+    and not (n == 0 and check in ZERO_ACCEPTED)])
 def test_bad_sample_count_or_sense_is_malformed_input(case, check, n, sense,
                                                       argument):
-    """A count below 1 (or not an integer), or a sense other than "min" or
-    "max", raises MalformedInput naming the argument, where it used to end
+    """A count below 1 (or not an integer, or a bool), a sense other than
+    "min" or "max" (or "minmax" for the sweep oracle) or an unknown sweep
+    mode raises MalformedInput naming the argument, where it used to end
     in a NumPy error, a TypeError, or a silent minimum check.  With the
-    canonical sample, the projection oracle accepts n = 0."""
+    canonical sample, the projection oracle accepts n = 0, and a suite
+    accepts seed 0."""
     if argument == "samples":
         argument = COUNT_NAME.get(check, "samples" if check.startswith(
             "run_suite") else "n_samples")
+    else:
+        argument = SENSE_NAME[check]
     with pytest.raises(MalformedInput, match=f"^{argument} must be"):
         CHECKS[check](case, n, sense)

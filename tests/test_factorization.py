@@ -82,8 +82,9 @@ def test_no_kernel_runs_twice_on_the_same_input(regime, call, kernel_log):
 
 
 def test_an_accepted_solve_ims_takes_one_eigensolver_of_the_form(kernel_log):
-    """The sign test and the Schur complement's polar root read one eigh
-    of the compressed form: no eigvalsh of the same bytes before it."""
+    """The sign test, the range test and the Schur complement's a^† b
+    read one eigh of the compressed form: no eigvalsh of the same bytes
+    before it."""
     p = generate_instance(GeneratorSpec(dim=8, seed=3,
                                         regime="range_nonnegative")).problem
     kernel_log.clear()

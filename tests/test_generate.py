@@ -72,6 +72,11 @@ def test_unsatisfiable_specs():
                       cond_bound=float("nan"))
     with pytest.raises(UnsatisfiableSpec):
         GeneratorSpec(dim=4, seed=-5, regime="complementable")
+    for bad in ({"dim": 2.5}, {"dim": "4"}, {"seed": 1.5}, {"seed": True},
+                {"cond_bound": None}):
+        with pytest.raises(UnsatisfiableSpec):
+            GeneratorSpec(**{"dim": 4, "seed": 0, "regime": "complementable",
+                             **bad})
 
 
 def test_conditioning_bound_respected():

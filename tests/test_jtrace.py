@@ -116,11 +116,9 @@ def test_frechet_matches_finite_differences(seed):
         x = crandn(rng, n, n)
         y = crandn(rng, n, n)
         analytic = frechet_derivative(p, sig, x, y)
-        central = frechet_fd(p, sig, x, y, scheme="central")
-        forward = frechet_fd(p, sig, x, y, scheme="forward")
+        central = frechet_fd(p, sig, x, y)
         denom = max(1.0, abs(analytic))
         assert abs(analytic - central) / denom < 1e-6
-        assert abs(analytic - forward) / denom < 1e-3
 
 
 def test_trace_objective_canonical(space2):

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kreinls import RankThresholdAmbiguous
-from kreinls.linalg import (Norm, excess, g_orthonormalize, hpd_sqrt,
-                            herm_sign_and_root, null_frame, numerical_rank,
-                            opnorm, orth_frame, pinv, within)
+from kreinls.linalg import (Norm, excess, g_orthonormalize, herm_pinv_apply,
+                            hpd_sqrt, kept_eigenvalues, null_frame,
+                            numerical_rank, opnorm, orth_frame, pinv, within)
 
 
 def test_numerical_rank_basic():
@@ -57,14 +57,16 @@ def test_pinv_minimal_norm_solution():
         assert np.linalg.norm(x0) <= np.linalg.norm(x0 + 0.7 * shift) + 1e-12
 
 
-def test_herm_sign_and_root_polar_convention():
-    q = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))[0]
+def test_herm_pinv_apply_matches_pinv_on_a_singular_indefinite_matrix():
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
     a = q @ np.diag([2.0, -0.5, 0.0, 1.0]) @ q.T
-    u, root, rootinv = herm_sign_and_root(a)
-    assert_allclose(u @ (root @ root), a, atol=1e-12)       # a = u|a|
-    kern = q[:, 2]
-    assert np.linalg.norm(u @ kern) < 1e-12                 # N(u) = N(a)
-    assert_allclose(rootinv @ root @ rootinv, rootinv, atol=1e-12)
+    b = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    lam, vec = np.linalg.eigh(a)
+    kept = kept_eigenvalues(lam, 4)
+    assert kept.sum() == 3                                  # rank 3
+    assert_allclose(herm_pinv_apply(lam, vec, kept, b), pinv(a) @ b,
+                    atol=1e-12)
 
 
 def test_hpd_sqrt_and_g_orthonormalize():

@@ -180,9 +180,10 @@ def test_split_b_examples(space2):
     assert sp.split.s_minus.dim == 0
 
     p = WeightedProblem(w=np.eye(2), b=np.eye(2), c=np.eye(2), space=space2)
-    sp = split_b(p, ref)                      # JW = J: split along e1/e2
-    assert_allclose(sp.b_plus, np.diag([1.0, 0.0]), atol=1e-12)
-    assert_allclose(sp.b_minus, np.diag([0.0, 1.0]), atol=1e-12)
+    for sig in (ref, space2.j_ref):           # a signature matrix is accepted
+        sp = split_b(p, sig)                  # JW = J: split along e1/e2
+        assert_allclose(sp.b_plus, np.diag([1.0, 0.0]), atol=1e-12)
+        assert_allclose(sp.b_minus, np.diag([0.0, 1.0]), atol=1e-12)
 
     pz = WeightedProblem(w=np.eye(2), b=np.zeros((2, 2)), c=np.eye(2),
                          space=space2)
@@ -258,7 +259,14 @@ def test_saddle_certificates_and_perturbation():
 def test_neutral_shift_characterization():
     """Both directions of the min-max characterization: Z1 + neutral Z2 is
     accepted, and any accepted Z has vanishing normal residual with
-    Z - Z1 neutral."""
+    Z - Z1 neutral.  The shift is nonzero exactly when the rank of the
+    compressed form drops an eigenvalue."""
+    for regime in ("neutral_directions", "range_nonnegative"):
+        for seed in range(6):
+            q = generate_instance(GeneratorSpec(dim=5, seed=seed,
+                                                regime=regime)).problem
+            kept = _factor(q, None)[0].kept
+            assert (opnorm(neutral_shift(q, seed=3)) > 0) == (not kept.all())
     inst = generate_instance(GeneratorSpec(dim=5, seed=260,
                                            regime="neutral_directions"))
     p = inst.problem

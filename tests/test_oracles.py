@@ -80,10 +80,11 @@ def test_als_minmax_matches_closed_form():
         p = inst.problem
         sol = solve_imms(p)
         closed = float(np.trace(p.space.j_ref @ sol.schur_value).real)
-        res = oracle_parameter_sweep(p, sense="minmax")
-        assert abs(res.value - closed) <= 1e-6 * max(1.0, abs(closed))
-        v_xy, v_yx = minmax_order_gap(p)
-        assert abs(v_xy - v_yx) <= 1e-8 * max(1.0, abs(closed))
+        for sig in (None, p.space.j_ref):   # a signature matrix is accepted
+            res = oracle_parameter_sweep(p, sig, sense="minmax")
+            assert abs(res.value - closed) <= 1e-6 * max(1.0, abs(closed))
+            v_xy, v_yx = minmax_order_gap(p, sig)
+            assert abs(v_xy - v_yx) <= 1e-8 * max(1.0, abs(closed))
 
 
 def test_grid_mode_rejects_large_dims():

@@ -206,7 +206,9 @@ def test_projection_infimum_rejects_wrong_sign():
 
 def test_weak_equals_full_complementability_on_degenerates():
     """The range test R(b) ⊆ R(a) agrees with the oracle's count
-    dim(S + T) = dim."""
+    dim(S + T) = dim, and so does the Schur complement's own test under an
+    alternate signature: it raises NotWeaklyComplementable exactly on the
+    weights that are not complementable."""
     from kreinls import oracle_sum_dimension
 
     regimes = ("complementable", "non_complementable", "range_nonnegative",
@@ -219,3 +221,10 @@ def test_weak_equals_full_complementability_on_degenerates():
         full = oracle_sum_dimension(inst.problem, inst.subspace) \
             == inst.space.dim
         assert weak == full
+        alt = random_signature_operator(inst.space, i)
+        try:
+            schur_complement(inst.problem.w, inst.subspace, inst.space, alt)
+        except NotWeaklyComplementable:
+            assert not full
+        else:
+            assert full

@@ -72,12 +72,6 @@ def test_from_span_keeps_an_orthonormal_complement(kind, rank_tol):
     assert not s._complement.flags.writeable
 
 
-def test_an_explicit_rank_tol_recomputes_the_complement():
-    s = Subspace.from_span(crandn(np.random.default_rng(1), 6, 3))
-    for tol in (1e-9, 1e-3):
-        comp = s.coordinate_complement(rank_tol=tol).frame
-        assert np.array_equal(comp, null_frame(s.frame.conj().T, tol))
-
 def test_a_given_frame_takes_its_complement_from_a_complete_qr():
     """The trailing columns of the QR of a frame without a stored
     complement: orthonormal, and the span the kernel of S* gives."""
